@@ -13,6 +13,16 @@ dune build @check
 echo "== dune runtest" >&2
 dune runtest
 
+echo "== examples" >&2
+# Every example runs the public API end to end (Ragged.fill/get/unpack,
+# lowering, execution); the reference-checking ones exit nonzero when
+# their max error against a dense reference exceeds 1e-5.
+for example in quickstart transformer_encoder triangular_ops vgemm_batching \
+  ragged_conv load_balancing training_step; do
+  dune exec "examples/$example.exe" > /dev/null \
+    || { echo "ci: example $example failed" >&2; exit 1; }
+done
+
 echo "== cora trace quickstart" >&2
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT

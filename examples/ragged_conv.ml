@@ -91,6 +91,7 @@ let () =
       done;
       max_err := Float.max !max_err (Float.abs (!expect -. Ragged.get rc idx)));
   Printf.printf "max error vs direct convolution: %.2e\n" !max_err;
+  if !max_err > 1e-5 then (prerr_endline "conv: max error exceeds 1e-5"; exit 1);
   Printf.printf "output lengths: %s (inputs %s, %d taps)\n"
     (String.concat " " (Array.to_list (Array.map (fun l -> string_of_int (l - k + 1)) lens)))
     (String.concat " " (Array.to_list (Array.map string_of_int lens)))

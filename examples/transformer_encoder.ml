@@ -70,6 +70,7 @@ let () =
       done)
     lens;
   Printf.printf "\nmax |CoRa - dense reference| over all outputs: %.2e\n" !max_err;
+  if !max_err > 1e-5 then (prerr_endline "encoder: max error exceeds 1e-5"; exit 1);
 
   (* ---- 2. paper-scale simulation on the V100 model ---- *)
   print_endline "\nsimulated encoder latency, RACE dataset (paper Table 4 row):";

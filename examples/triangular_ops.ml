@@ -39,6 +39,7 @@ let () =
     done
   done;
   Printf.printf "trmm max error vs reference: %.2e\n\n" !err;
+  if !err > 1e-5 then (prerr_endline "trmm: max error exceeds 1e-5"; exit 1);
 
   (* ---- packed triangular storage ---- *)
   let e = Matmul.Trmm.build_elementwise ~op:`Add ~n:5 () in

@@ -40,6 +40,7 @@ let () =
     done
   done;
   Printf.printf "\nvgemm max error vs reference: %.2e\n" !err;
+  if !err > 1e-5 then (prerr_endline "vgemm: max error exceeds 1e-5"; exit 1);
 
   (* ---- paper-scale comparison (Fig. 8) ---- *)
   print_endline "\nsimulated vgemm on the V100 model (dims: random multiples of 128 in [512,1408]):";

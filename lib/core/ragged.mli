@@ -1,7 +1,14 @@
 (** Runtime ragged-tensor values: a flat float buffer laid out per the
     {!Tensor.t} declaration (densely packed vdim slices with the declared
     padding), numeric offsets mirroring {!Storage.lower}, and conversions
-    to/from fully padded dense layouts (the AddPad/RemovePad operators). *)
+    to/from fully padded dense layouts (the AddPad/RemovePad operators).
+
+    Bulk traversals ({!iter_offsets}, {!iter_indices}, {!fill}, {!pack},
+    {!unpack}) share one row-major {e offset walk}: it resolves each
+    dimension's layout once per call (a memoized prefix sum for a dim with
+    ragged dependents, a stride computed once per outer assignment for any
+    other) and moves the innermost dimension as a contiguous run, so no
+    element pays the per-index {!offset} computation. *)
 
 type t = {
   tensor : Tensor.t;
@@ -9,14 +16,15 @@ type t = {
   lenv : Lenfun.env;
   prefix_cache : int array option Atomic.t array;
       (** memoized prefix sums of per-value slice volumes for dims with
-          ragged dependents — keeps per-element offsets O(rank) instead
-          of O(batch), which is what makes filling and unpacking a
-          B-row mega-batch linear rather than quadratic in B.  Both
+          ragged dependents, shared by {!offset} and the offset walk —
+          keeps a dim's contribution O(1) instead of O(batch), which is
+          what makes filling and unpacking a B-row mega-batch linear
+          rather than quadratic in B.  Both
           inputs (tensor, lenv) are immutable per value, so entries
           never invalidate.  One slot per dim, published as an immutable
           array through an [Atomic] so parallel mega-batch fill/scatter
           can share the value across domains: a race at worst recomputes
-          the identical array.  Managed by {!offset}; construct values
+          the identical array.  Managed by this module; construct values
           through {!alloc} or size it with {!fresh_prefix_cache}. *)
 }
 
@@ -29,16 +37,23 @@ val fresh_prefix_cache : Tensor.t -> int array option Atomic.t array
 val alloc : Tensor.t -> Lenfun.env -> t
 
 (** Numeric flat offset of a multi-index — the runtime mirror of the
-    symbolic lowering (checked equal by the test suite). *)
+    symbolic lowering (checked equal by the test suite).  Re-derives the
+    layout per call: the reference the offset walk is tested against. *)
 val offset : t -> int list -> int
 
 val get : t -> int list -> float
 val set : t -> int list -> float -> unit
 
-(** Iterate over every valid (unpadded) multi-index. *)
+(** The offset walk: every valid (unpadded) multi-index with its flat
+    offset (equal to {!offset}), in row-major order.  A declaration
+    {!offset} rejects is rejected here too. *)
+val iter_offsets : t -> (int list -> int -> unit) -> unit
+
+(** Iterate over every valid (unpadded) multi-index, in row-major order. *)
 val iter_indices : t -> (int list -> unit) -> unit
 
-(** Fill the valid region with a function of the multi-index. *)
+(** Fill the valid region with a function of the multi-index, called once
+    per valid index in {!iter_indices} order. *)
 val fill : t -> (int list -> float) -> unit
 
 (** Fully padded shape (ragged extents replaced by their maxima). *)

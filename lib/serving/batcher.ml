@@ -228,7 +228,10 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
         (* pre-apply the window so the descriptor's staged offsets are
            computed once, not once per filled element *)
         let local = bd.Workload.local_index lens_list in
-        let fill name idx = Server.default_fill name (local name idx) in
+        let fill name =
+          let value = Server.default_fill name and localize = local name in
+          fun idx -> value (localize idx)
+        in
         (* the mega-batch itself runs under the most generous member
            deadline — aborting the shared run would punish every member
            for the tightest budget — but each member's own deadline is

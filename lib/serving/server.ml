@@ -67,14 +67,11 @@ let reset_caches () =
   Cache.clear launch_memo;
   Workload.clear_caches ()
 
-let default_fill name idx =
-  let h =
-    List.fold_left
-      (fun acc i -> ((acc * 31) + i + 1) land 0xFFFFFF)
-      (Hashtbl.hash name land 0xFFFF)
-      idx
-  in
-  (float_of_int (h mod 1009) /. 504.5) -. 1.0
+let default_fill name =
+  let seed = Hashtbl.hash name land 0xFFFF in
+  fun idx ->
+    let h = List.fold_left (fun acc i -> ((acc * 31) + i + 1) land 0xFFFFFF) seed idx in
+    (float_of_int (h mod 1009) /. 504.5) -. 1.0
 
 (* Execute the job's kernels through the selected engine.
 

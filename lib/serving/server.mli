@@ -111,5 +111,6 @@ val handle :
 val reset_caches : unit -> unit
 
 (** Deterministic input fill used for every tensor that is read but never
-    written: a hash of the tensor name and multi-index. *)
+    written: a hash of the tensor name and multi-index.  Applied to a name
+    alone it hashes the name once and returns the per-index function. *)
 val default_fill : string -> int list -> float

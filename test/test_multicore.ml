@@ -137,9 +137,10 @@ let test_multicore_encoder_counters () =
    plain Hashtbl shared across domains (unsynchronized resize = torn
    state); it is now an Atomic per dimension — duplicate cold fills are
    benign, the published array is always complete.  Four domains race
-   cold offsets over a nested-ragged tensor (two lenfuns off the same
-   batch dim, rows of length zero included) and every result must match
-   a serially computed oracle, on every round. *)
+   cold offsets, and cold [fill]/[unpack] walks (which read the same
+   memo), over a nested-ragged tensor (two lenfuns off the same batch
+   dim, rows of length zero included); every result must match a
+   serially computed oracle bitwise, on every round. *)
 let test_ragged_prefix_cache_race () =
   let b = 5 in
   let bd = Dim.make "b" and rd = Dim.make "r" and cd = Dim.make "c" in
@@ -157,21 +158,47 @@ let test_ragged_prefix_cache_race () =
              (List.init rows.(bi) (fun ri ->
                   List.init cols.(bi) (fun ci -> [ bi; ri; ci ])))))
   in
-  let oracle =
+  let value_of idx = float_of_int (Hashtbl.hash idx land 0xFFFF) /. 7.0 in
+  let floats (r : Ragged.t) = Runtime.Buffer.floats r.Ragged.buf in
+  let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+  let oracle_offsets, oracle_filled, oracle_dense =
     let r = Ragged.alloc t hlenv in
-    List.map (Ragged.offset r) idxs
+    let offsets = List.map (Ragged.offset r) idxs in
+    let r = Ragged.alloc t hlenv in
+    Ragged.fill r value_of;
+    (offsets, floats r, Ragged.unpack r)
+  in
+  let check what round expected got =
+    Alcotest.(check (list int64))
+      (Printf.sprintf "round %d: %s match serial oracle" round what)
+      (bits expected) (bits got)
   in
   for round = 1 to 16 do
-    (* a fresh instance per round re-races the cold fill *)
-    let r = Ragged.alloc t hlenv in
+    (* fresh values per round re-race the cold memo: one for offsets, one
+       whose memo the fills share (each domain writes its own buffer), one
+       holding the oracle's filled buffer for the unpacks *)
+    let r_off = Ragged.alloc t hlenv and r_fill = Ragged.alloc t hlenv in
+    let r_unpack =
+      { (Ragged.alloc t hlenv) with Ragged.buf = Runtime.Buffer.of_floats (Array.copy oracle_filled) }
+    in
     let doms =
-      List.init 4 (fun _ -> Domain.spawn (fun () -> List.map (Ragged.offset r) idxs))
+      List.init 4 (fun _ ->
+          Domain.spawn (fun () ->
+              let offsets = List.map (Ragged.offset r_off) idxs in
+              let mine =
+                { r_fill with Ragged.buf = Runtime.Buffer.float_buf (Array.length oracle_filled) }
+              in
+              Ragged.fill mine value_of;
+              (offsets, floats mine, Ragged.unpack r_unpack)))
     in
     List.iter
       (fun d ->
+        let offsets, filled, dense = Domain.join d in
         Alcotest.(check (list int))
           (Printf.sprintf "round %d: offsets match serial oracle" round)
-          oracle (Domain.join d))
+          oracle_offsets offsets;
+        check "fill" round oracle_filled filled;
+        check "unpack" round oracle_dense dense)
       doms
   done
 
