@@ -622,21 +622,35 @@ let fig23 () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Grid-search auto-scheduling (§6: "manual scheduling and grid search";
+   full auto-scheduling is the paper's future work): the online tuner's
+   two-stage search over the paper-scale encoder layer's gemm tile
+   points, priced by the machine model. *)
 let autotune () =
-  header "Grid-search auto-scheduling of QKV projection (paper §6 / future work)";
-  line "%-9s %-6s %-14s %-14s %-14s" "dataset" "batch" "hand schedule" "tuned" "tiles";
+  header "Grid-search auto-scheduling of the encoder layer's gemm tiles (paper §6)";
+  line "%-9s %-6s %-14s %-14s %s" "dataset" "batch" "hand schedule" "tuned" "point";
   List.iter
     (fun (d : Workloads.Datasets.t) ->
       List.iter
         (fun bs ->
+          let w = Serving.Workload.encoder ~base:true ~batch:bs ~dataset:d () in
+          let tn = Option.get w.Serving.Workload.tunable in
           let lens = Workloads.Datasets.sample_sorted d ~batch:bs ~seed in
-          let cfg = Transformer.Config.base ~lens in
-          let r = Transformer.Autotune.tune_qkv ~device:gpu cfg in
-          line "%-9s %-6d %11.3f ms %11.3f ms  f%d x j%d" d.Workloads.Datasets.name bs
-            (r.Transformer.Autotune.default_ns /. 1e6)
-            (r.Transformer.Autotune.best_ns /. 1e6)
-            r.Transformer.Autotune.best.Transformer.Autotune.ftile
-            r.Transformer.Autotune.best.Transformer.Autotune.jtile)
+          let r, _ =
+            Cora.Lower.with_memo ~cache:true (fun () ->
+                Autotune.Tuner.tune ~device:gpu
+                  ~key:
+                    (Autotune.Tuner.key ~workload:w.Serving.Workload.name
+                       ~tables:(tn.Serving.Workload.tables_of lens))
+                  ~hand:(Serving.Workload.tuner_job (w.Serving.Workload.build lens))
+                  ~candidates:(Serving.Workload.candidates tn lens) ())
+          in
+          line "%-9s %-6d %11.3f ms %11.3f ms  %s" d.Workloads.Datasets.name bs
+            (r.Autotune.Tuner.hand_ns /. 1e6)
+            (r.Autotune.Tuner.tuned_ns /. 1e6)
+            (match r.Autotune.Tuner.point with
+            | Some p -> Autotune.Space.to_string p
+            | None -> "hand"))
         [ 32; 128 ])
     [ Workloads.Datasets.race; Workloads.Datasets.mnli ]
 

@@ -471,7 +471,7 @@ let bench_stream_cmd =
       & info [ "autotune" ]
           ~doc:
             "Online schedule autotuning: consult the tuner memo per request (keyed by \
-             workload, raggedness signature and opt level); misses serve the hand schedule \
+             workload and raggedness signature); misses serve the hand schedule \
              and warm the memo after the response, hits serve the tuned schedule.  Outputs \
              stay bitwise-identical to an untuned replay (--smoke verifies).")
   in

@@ -6,19 +6,17 @@ type point = {
   pad : int;
   op_split : bool;
   grid : bool;
-  opt : int option;
   aux : (string * int) list;
 }
 
 let make ?(fuse = false) ?(split = 0) ?(pad = 0) ?(op_split = false) ?(grid = false)
-    ?opt ?(aux = []) () =
+    ?(aux = []) () =
   {
     fuse;
     split;
     pad;
     op_split;
     grid;
-    opt;
     aux = List.sort (fun (a, _) (b, _) -> String.compare a b) aux;
   }
 
@@ -34,7 +32,6 @@ let to_string p =
     @ (if p.pad > 0 then [ Printf.sprintf "pad=%d" p.pad ] else [])
     @ (if p.op_split then [ "opsplit" ] else [])
     @ (if p.grid then [ "grid" ] else [])
-    @ (match p.opt with Some n -> [ Printf.sprintf "opt=%d" n ] | None -> [])
     @ List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) p.aux
   in
   match parts with [] -> "hand" | _ -> String.concat "," parts

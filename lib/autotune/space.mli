@@ -14,7 +14,10 @@
     Every point must denote a schedule whose output is bitwise-identical
     to the hand schedule's: transformations are restricted to data axes
     (never reordering or splitting a reduction), and storage layouts are
-    untouched — the serving layer's [--smoke] replay enforces this. *)
+    untouched — the serving layer's [--smoke] replay enforces this.  A
+    point must also change the lowered job (kernel bodies or launch
+    grouping): the tuner ranks by modeled time, which an execution-only
+    knob such as the engine opt level cannot move. *)
 
 type point = {
   fuse : bool;  (** vloop-fuse the batch axis with its dependent ragged axis *)
@@ -24,11 +27,6 @@ type point = {
       (** operation splitting: lower the split pair twice, as a
           [Tiles_only] main kernel plus a [Tail_only] remainder kernel *)
   grid : bool;  (** bind the outer loops to the device grid *)
-  opt : int option;
-      (** engine optimization-level override for executing this schedule
-          ([Ir.Optimize.level_of_int]); [None] inherits the server's
-          level.  Purely an execution knob: the lowering is unchanged and
-          every level is bitwise-identical, so the point stays replay-safe *)
   aux : (string * int) list;  (** workload-specific knobs, sorted by name *)
 }
 
@@ -38,7 +36,6 @@ val make :
   ?pad:int ->
   ?op_split:bool ->
   ?grid:bool ->
-  ?opt:int ->
   ?aux:(string * int) list ->
   unit ->
   point

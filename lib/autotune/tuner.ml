@@ -62,9 +62,7 @@ let note_fallback () =
   Obs.Metrics.incr fallbacks_c;
   Atomic.incr a_fallbacks
 
-let key ~workload ~tables ~opt =
-  Sig.combine
-    [ Sig.of_string workload; Sig.of_tables tables; Sig.of_string (Ir.Optimize.level_name opt) ]
+let key ~workload ~tables = Sig.combine [ Sig.of_string workload; Sig.of_tables tables ]
 
 let lookup k = Cache.find memo (Sig.canonical k)
 let memo_size () = Cache.size memo

@@ -15,7 +15,7 @@
     A candidate is adopted only when its simulated time strictly beats the
     hand schedule's, so tuned serving is never worse than hand serving in
     model time.  Decisions are memoized in a bounded {!Cora.Cache} keyed
-    by [(workload, Sig.of_tables, opt level)] — see {!key} — so a serving
+    by [(workload, Sig.of_tables)] — see {!key} — so a serving
     stream tunes each raggedness signature once and hits the memo
     afterwards.
 
@@ -55,10 +55,11 @@ type decision = {
   pruned : int;  (** of those, dropped by the analytic bound *)
 }
 
-(** Memo key: workload name, raggedness signature of the concrete length
-    tables ({!Cora.Sig.of_tables}) and optimization level. *)
-val key :
-  workload:string -> tables:(string * int array) list -> opt:Ir.Optimize.level -> Cora.Sig.t
+(** Memo key: workload name and raggedness signature of the concrete
+    length tables ({!Cora.Sig.of_tables}).  The engine opt level is not
+    part of it: modeled time, hence every decision, is independent of
+    it. *)
+val key : workload:string -> tables:(string * int array) list -> Cora.Sig.t
 
 (** Consult the memo; a hit refreshes LRU recency. *)
 val lookup : Cora.Sig.t -> decision option

@@ -97,12 +97,8 @@ type exec_stats = {
   x_arena_misses : int;
 }
 
-let execute ?(fill = default_fill) ?opt_override (srv : t) (job : Workload.job)
-    (built : Prelude.built) : counters * float array * exec_stats =
-  (* a tuned point may carry an engine opt-level override (the tuner's
-     opt axis); every level is bitwise-identical, so this never changes
-     the response payload *)
-  let eff_opt = Option.value opt_override ~default:srv.opt in
+let execute ?(fill = default_fill) (srv : t) (job : Workload.job) (built : Prelude.built) :
+    counters * float array * exec_stats =
   let arena = Runtime.Buffer.Arena.global in
   let arena_hits = ref 0 and arena_misses = ref 0 in
   let raggeds : (string, Ragged.t) Hashtbl.t = Hashtbl.create 16 in
@@ -156,7 +152,7 @@ let execute ?(fill = default_fill) ?opt_override (srv : t) (job : Workload.job)
      which double-count as soon as two requests overlap. *)
   let (env, _), estats =
     Exec.with_engine_stats (fun () ->
-        Exec.run ~engine:srv.engine ~opt:eff_opt ~prelude:built ~lenv:job.Workload.lenv
+        Exec.run ~engine:srv.engine ~opt:srv.opt ~prelude:built ~lenv:job.Workload.lenv
           ~bindings:!bindings job.Workload.kernels)
   in
   let out =
@@ -210,8 +206,10 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
      and the schedule-variant tag that keys the launch-model memo below.
      Keys are mode-prefixed ("auto|<opt>" vs "hand"), so an autotuned and
      an untuned server sharing one workload value can never read each
-     other's entries, and auto entries are epoch-tagged so a
-     [Autotune.Tuner.clear] invalidates them wholesale.  Only a miss (an
+     other's entries (decisions do not depend on the opt level in the
+     auto prefix; perfbench's replay recomputes that prefix), and auto
+     entries are epoch-tagged so a [Autotune.Tuner.clear] invalidates
+     them wholesale.  Only a miss (an
      unseen shape, or the first sighting after a wipe) pays the Sig work
      of the canonical tuner key; a true tuner miss additionally serves
      the hand schedule now and runs a budgeted tune after the response's
@@ -236,12 +234,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
   let state_of (d : Autotune.Tuner.decision) =
     if d.Autotune.Tuner.point = None then "hand" else "tuned"
   in
-  let opt_of (d : Autotune.Tuner.decision) =
-    match d.Autotune.Tuner.point with
-    | Some p -> p.Autotune.Space.opt
-    | None -> None
-  in
-  let insert_cached job state variant opt sig_ pkey =
+  let insert_cached job state variant sig_ pkey =
     if srv.compile_cache then
       Cache.add w.Workload.job_cache jkey
         {
@@ -249,7 +242,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
           c_job = job;
           c_state = state;
           c_variant = variant;
-          c_opt = opt;
+          c_opt = None;
           c_sig = sig_;
           c_pkey = pkey;
         }
@@ -259,7 +252,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
      [baked] carries a memo hit's precomputed signature and prelude, so
      the hit path below skips the per-request Sig/defs/prelude-key work
      a compile-memo hit would still pay. *)
-  let job, compile_hits, compile_misses, state0, variant, opt_ov, pending, baked =
+  let job, compile_hits, compile_misses, state0, variant, pending, baked =
     staged "compile" @@ fun () ->
     let cached =
       if srv.compile_cache then
@@ -277,7 +270,6 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
           0,
           cj.Workload.c_state,
           cj.Workload.c_variant,
-          cj.Workload.c_opt,
           None,
           Some cj )
     | None -> (
@@ -288,11 +280,11 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
         match auto with
         | None ->
             let job, memo = build_with (fun () -> w.Workload.build lens) in
-            (job, memo.Lower.hits, memo.Lower.misses, "off", "hand", None, None, None)
+            (job, memo.Lower.hits, memo.Lower.misses, "off", "hand", None, None)
         | Some (cfg, tn) -> (
             let key =
               Autotune.Tuner.key ~workload:w.Workload.name
-                ~tables:(tn.Workload.tables_of lens) ~opt:srv.opt
+                ~tables:(tn.Workload.tables_of lens)
             in
             match Autotune.Tuner.lookup key with
             | Some d ->
@@ -303,19 +295,17 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
                       | Some p -> tn.Workload.build_tuned p lens
                       | None -> w.Workload.build lens)
                 in
-                ( job,
-                  memo.Lower.hits,
-                  memo.Lower.misses,
-                  state,
-                  variant,
-                  opt_of d,
-                  None,
-                  None )
+                (job, memo.Lower.hits, memo.Lower.misses, state, variant, None, None)
             | None ->
                 (* serve the hand schedule now; tune post-pipeline *)
                 let job, memo = build_with (fun () -> w.Workload.build lens) in
-                (job, memo.Lower.hits, memo.Lower.misses, "miss", "hand", None,
-                 Some (cfg, tn, key), None)))
+                ( job,
+                  memo.Lower.hits,
+                  memo.Lower.misses,
+                  "miss",
+                  "hand",
+                  Some (cfg, tn, key),
+                  None )))
   in
   (* Raggedness signature of the batch — the prelude-cache key, and the
      flight recorder's handle on "which shape was this". *)
@@ -376,7 +366,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
      same-key request replays the compile+prelude front with two bounded
      lookups.  A pending tune inserts instead after the search, below. *)
   (match (baked, pending) with
-  | None, None -> insert_cached job state0 variant opt_ov tables_sig pkey
+  | None, None -> insert_cached job state0 variant tables_sig pkey
   | _ -> ());
   (* Model time: the launches are timed against the supplied prelude (no
      rebuild inside the pipeline); its host/copy cost is charged only when
@@ -413,10 +403,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     staged "execute" @@ fun () ->
     if srv.execute then
       let c, o, s =
-        Obs.Span.with_span "serve.execute" (fun () ->
-            execute ?fill
-              ?opt_override:(Option.map Ir.Optimize.level_of_int opt_ov)
-              srv job built)
+        Obs.Span.with_span "serve.execute" (fun () -> execute ?fill srv job built)
       in
       (Some c, Some o, s)
     else
@@ -436,22 +423,11 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     | Some (cfg, tn, key) ->
         Autotune.Tuner.note_fallback ();
         let t0 = Obs.Trace_sink.now_us () in
-        let tjob (j : Workload.job) =
-          {
-            Autotune.Tuner.kernels = j.Workload.kernels;
-            launches = j.Workload.launches;
-            lenv = j.Workload.lenv;
-          }
-        in
-        let candidates =
-          List.map
-            (fun p -> (p, fun () -> tjob (tn.Workload.build_tuned p lens)))
-            (tn.Workload.space lens)
-        in
         let d, _ =
           Lower.with_memo ~cache:srv.compile_cache (fun () ->
-              Autotune.Tuner.tune ~cfg ~device:srv.device ~key ~tables_sig ~hand:(tjob job)
-                ~candidates ())
+              Autotune.Tuner.tune ~cfg ~device:srv.device ~key ~tables_sig
+                ~hand:(Workload.tuner_job job)
+                ~candidates:(Workload.candidates tn lens) ())
         in
         (* bake the winner into the job memo so the next request with
            this signature serves it with a single lookup.  The winner's
@@ -459,17 +435,16 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
            through the prelude cache under the same schedule-invariant
            [tables_sig], so only the key is derived here. *)
         (match d.Autotune.Tuner.point with
-        | None -> insert_cached job "hand" "hand" None tables_sig pkey
+        | None -> insert_cached job "hand" "hand" tables_sig pkey
         | Some p ->
             let tuned, _ =
               Lower.with_memo ~cache:srv.compile_cache (fun () ->
                   tn.Workload.build_tuned p lens)
             in
-            insert_cached tuned "tuned" (variant_of d) (opt_of d) tables_sig
-              (pkey_of tuned));
+            insert_cached tuned "tuned" (variant_of d) tables_sig (pkey_of tuned));
         ("miss", Obs.Trace_sink.now_us () -. t0)
   in
-  Obs.Metrics.observe (Obs.Metrics.histogram "serve.latency_ns") model_ns;
+  Obs.Metrics.observe (Obs.Metrics.histogram "serve.model_ns") model_ns;
   Obs.Span.add_attr "model_ns" (Obs.Trace_sink.Float model_ns);
   Obs.Span.add_attr "compile_hits" (Obs.Trace_sink.Int compile_hits);
   Obs.Span.add_attr "prelude_hit" (Obs.Trace_sink.Str (if prelude_hit then "yes" else "no"));

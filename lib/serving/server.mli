@@ -8,7 +8,7 @@
     and rebuilds everything per request, which is what the differential
     tests compare against.  Latencies are model time (deterministic), not
     wall time; each request runs under a [serve.request] span and lands in
-    the [serve.latency_ns] histogram. *)
+    the [serve.model_ns] histogram. *)
 
 (** Interpreter statistics of one request, for differential comparison. *)
 type counters = (string * int) list
@@ -59,8 +59,8 @@ type t
 
     [~autotune] enables the online schedule autotuner: requests for
     workloads with a {!Workload.tunable} descriptor consult the tuner
-    memo (keyed by workload name, {!Cora.Sig.of_tables} over the length
-    tables, and [~opt]); a hit with a winning point serves the tuned
+    memo (keyed by workload name and {!Cora.Sig.of_tables} over the
+    length tables); a hit with a winning point serves the tuned
     schedule, a miss serves the hand schedule and runs a budgeted
     two-stage search after the response's pipeline completes — so tuning
     never delays the response's own stages, and every response stays

@@ -27,7 +27,7 @@ type cached_job = {
   c_job : job;
   c_state : string;
   c_variant : string;
-  c_opt : int option;  (** tuned point's engine opt-level override *)
+  c_opt : int option;
   c_sig : Sig.t;
   c_pkey : Sig.t;
 }
@@ -44,34 +44,50 @@ type t = {
 
 (* Per-instance memos (see the .mli note on why they must not be shared
    across instances).  Capacity covers a serving pool's distinct shapes
-   times a handful of schedule variants.  Every instance's caches are
-   also registered process-wide so {!Server.reset_caches} can wipe them
-   — a test that derives a workload with an effectful [build] (e.g. a
-   gate or a deliberate raise) relies on the reset actually emptying the
-   job memo. *)
-let clearers : (unit -> unit) list ref = ref []
-let clearers_lock = Mutex.create ()
+   times a handful of schedule variants.  Every instance's memo is also
+   registered process-wide so {!Server.reset_caches} can wipe it — a test
+   that derives a workload with an effectful [build] (e.g. a gate or a
+   deliberate raise) relies on the reset actually emptying the job memo.
+   The registry holds the memos weakly: a dropped workload's memo (and
+   every job in it) stays collectable, and its slot is reused by the
+   next registration. *)
+let memos : (string, cached_job) Cache.t Weak.t ref = ref (Weak.create 8)
+let memos_lock = Mutex.create ()
 
-let register_clearer c =
-  Mutex.lock clearers_lock;
-  clearers := (fun () -> Cache.clear c) :: !clearers;
-  Mutex.unlock clearers_lock
+let register_memo c =
+  Mutex.protect memos_lock @@ fun () ->
+  let w = !memos in
+  let n = Weak.length w in
+  let rec free i = if i = n || not (Weak.check w i) then i else free (i + 1) in
+  let i = free 0 in
+  if i = n then begin
+    let w' = Weak.create (2 * n) in
+    Weak.blit w 0 w' 0 n;
+    memos := w'
+  end;
+  Weak.set !memos i (Some c)
 
 let clear_caches () =
-  Mutex.lock clearers_lock;
-  let cs = !clearers in
-  Mutex.unlock clearers_lock;
-  List.iter (fun f -> f ()) cs
+  let w = Mutex.protect memos_lock (fun () -> !memos) in
+  for i = 0 to Weak.length w - 1 do
+    Option.iter Cache.clear (Weak.get w i)
+  done
 
 let job_cache_of name =
   let c = Cache.create ~name:("job_build." ^ name) ~capacity:64 () in
-  register_clearer c;
+  register_memo c;
   c
 
 (* The invariant every adapter maintains: the runtime environment is built
    from the tables and nothing else, so [Sig.of_tables tables] determines
    the prelude build and can safely key the cache. *)
 let lenv_of_tables tables = List.map (fun (n, a) -> Lenfun.of_array n a) tables
+
+let tuner_job (j : job) =
+  { Autotune.Tuner.kernels = j.kernels; launches = j.launches; lenv = j.lenv }
+
+let candidates (tn : tunable) lens =
+  List.map (fun p -> (p, fun () -> tuner_job (tn.build_tuned p lens))) (tn.space lens)
 
 (* ---- batching descriptor helpers ----
 
@@ -346,11 +362,7 @@ let vgemm ?(batch = 4) ?(tile = 32)
           List.filter_map
             (fun t ->
               if t <> tile && divides t then Some (Autotune.Space.make ~split:t ()) else None)
-            [ 4; 8; 16; 32 ]
-          (* the opt axis: same hand schedule, engine at the O3
-             stride-specialized microkernel level — execution-only, so
-             still bitwise under replay *)
-          @ [ Autotune.Space.make ~opt:3 () ]);
+            [ 4; 8; 16; 32 ]);
       build_tuned =
         (fun p dims ->
           let t = if p.Autotune.Space.split > 0 then p.Autotune.Space.split else tile in
@@ -488,7 +500,6 @@ let encoder ?(base = false) ?(batch = 4) ~(dataset : Workloads.Datasets.t) () : 
             make ~aux:[ ("jtile", 16) ] ();
             make ~aux:[ ("jtile", 16); ("ftile", 4) ] ();
             make ~aux:[ ("jtile", 4) ] ();
-            make ~opt:3 ();
           ]
     in
     {
@@ -563,22 +574,14 @@ let decode ?(batch = 4) ?(max_src = 24) () : t =
     in
     { rows; merge; local_index; split }
   in
-  (* The decode schedules are fixed by the cache layout (seq_pad fused
-     sweep); only the engine opt level is worth searching. *)
-  let tunable =
-    {
-      tables_of =
-        (fun lens -> [ ("tgt", Array.make (Array.length lens) 1); ("src", lens) ]);
-      space = (fun _ -> Autotune.Space.[ make (); make ~opt:3 () ]);
-      build_tuned = (fun _ lens -> job_of lens);
-    }
-  in
   {
     name = "decode";
     sample = (fun rng -> Array.init batch (fun _ -> 1 + Workloads.Rng.int rng max_src));
     build;
     batching = Some batching;
-    tunable = Some tunable;
+    (* The decode schedules are fixed by the cache layout (seq_pad fused
+       sweep): there is no schedule point to search. *)
+    tunable = None;
     (* One decode step extends every cache row by one token, so the
        predecessor's tables are the current lengths minus one.  Rows
        already at length 1 have no predecessor (that step was the

@@ -62,8 +62,8 @@ type batching = {
 type tunable = {
   tables_of : int array -> (string * int array) list;
       (** the job's length tables without compiling it — with the
-          workload name and opt level, this keys the tuner memo
-          ([Sig.of_tables]) so a lookup costs no lowering *)
+          workload name, this keys the tuner memo ([Sig.of_tables]) so a
+          lookup costs no lowering *)
   space : int array -> Autotune.Space.point list;
       (** candidate schedule points for this raggedness vector (may
           depend on it, e.g. divisibility filters); the hand schedule is
@@ -88,7 +88,9 @@ type cached_job = {
   c_job : job;
   c_state : string;  (** tuner state to report: ["off"], ["hand"], ["tuned"] *)
   c_variant : string;  (** schedule variant label for the launch-model key *)
-  c_opt : int option;  (** tuned point's engine opt-level override, if any *)
+  c_opt : int option;
+      (** always [None]: schedule points carry no engine opt level.  Kept
+          only because perfbench's replay reads the field *)
   c_sig : Cora.Sig.t;  (** [Sig.of_tables c_job.tables], precomputed *)
   c_pkey : Cora.Sig.t;  (** {!Cora.Prelude_cache.key_of}, precomputed *)
 }
@@ -117,8 +119,10 @@ type t = {
   job_cache : (string, cached_job) Cora.Cache.t;
       (** per-instance memo of built jobs with their tuner decision baked
           in, keyed by (serving mode, raggedness vector) — mode-prefixed
-          (["hand"] vs ["auto|<opt>"]) because the tuner's choice depends
-          on the opt level while the hand build does not.  A repeat
+          (["hand"] vs ["auto|<opt>"]) so an autotuned and an untuned
+          server sharing this value never read each other's entries.
+          Decisions do not depend on the opt level in the auto prefix;
+          perfbench's replay recomputes that prefix.  A repeat
           request skips job construction, the per-kernel [Sig]
           computation a compile-memo hit still pays, *and* the tuner-memo
           key derivation: steady-state autotuned serving does exactly one
@@ -130,17 +134,26 @@ type t = {
           scratch. *)
 }
 
-(** Empty every instance's [job_cache], across all workloads ever
-    constructed in this process.  Called by {!Server.reset_caches}: a
-    reset must leave no memoized jobs behind, or a workload derived with
-    an effectful [build] (tests do this to gate or fail a worker) would
-    have its build skipped. *)
+(** Empty every live instance's [job_cache].  Called by
+    {!Server.reset_caches}: a reset must leave no memoized jobs behind, or
+    a workload derived with an effectful [build] (tests do this to gate or
+    fail a worker) would have its build skipped.  Instances are tracked
+    weakly, so a dropped workload's memo is garbage like any other
+    value. *)
 val clear_caches : unit -> unit
 
 (** Build a runtime environment from concrete tables — the adapters'
     shared invariant: the environment is the tables and nothing else
     (which is what lets {!Cora.Sig.of_tables} key the prelude cache). *)
 val lenv_of_tables : (string * int array) list -> Cora.Lenfun.env
+
+(** The part of a job the tuner prices ({!Autotune.Tuner.job}). *)
+val tuner_job : job -> Autotune.Tuner.job
+
+(** [candidates tn lens] — every point of [tn.space lens] with a lazy
+    builder of its job: the [~candidates] of {!Autotune.Tuner.tune}. *)
+val candidates :
+  tunable -> int array -> (Autotune.Space.point * (unit -> Autotune.Tuner.job)) list
 
 (** Fig. 1 of the paper: [O\[b\]\[j\] = 2 * A\[b\]\[j\]] with ragged [j],
     loop-padded and guarded.  Raggedness vector = the row lengths. *)
@@ -167,7 +180,8 @@ val encoder : ?base:bool -> ?batch:int -> dataset:Workloads.Datasets.t -> unit -
     vector = the cache lengths; [sample] draws the {e initial} (prefill)
     lengths and a decode stream grows them by one per step.  Sets
     [prev_tables] so the serving path delta-updates each step's prelude
-    from its predecessor's. *)
+    from its predecessor's.  Not tunable: the cache layout fixes its
+    schedules. *)
 val decode : ?batch:int -> ?max_src:int -> unit -> t
 
 (** The adapters above with bench-friendly defaults, keyed by name

@@ -28,16 +28,10 @@ let tunable (w : Serving.Workload.t) =
   | Some tn -> tn
   | None -> Alcotest.fail (w.Serving.Workload.name ^ " has no tunable descriptor")
 
-let tjob (j : Serving.Workload.job) =
-  {
-    Autotune.Tuner.kernels = j.Serving.Workload.kernels;
-    launches = j.Serving.Workload.launches;
-    lenv = j.Serving.Workload.lenv;
-  }
-
 (* fig1 job at one schedule point, via the workload's own descriptor *)
 let fig1_at point lens =
-  tjob ((tunable (Serving.Workload.fig1 ())).Serving.Workload.build_tuned point lens)
+  Serving.Workload.tuner_job
+    ((tunable (Serving.Workload.fig1 ())).Serving.Workload.build_tuned point lens)
 
 (* ---------------- properties ---------------- *)
 
@@ -109,21 +103,15 @@ let test_cache_stats () =
 
 (* ---------------- the tuner ---------------- *)
 
-let fig1_candidates (w : Serving.Workload.t) lens =
-  let tn = tunable w in
-  List.map
-    (fun p -> (p, fun () -> tjob (tn.Serving.Workload.build_tuned p lens)))
-    (tn.Serving.Workload.space lens)
-
 let tune_fig1 lens =
   let w = Serving.Workload.fig1 () in
   let tn = tunable w in
   let key =
     Autotune.Tuner.key ~workload:"fig1" ~tables:(tn.Serving.Workload.tables_of lens)
-      ~opt:Ir.Optimize.O0
   in
-  let hand = tjob (w.Serving.Workload.build lens) in
-  (key, Autotune.Tuner.tune ~device ~key ~hand ~candidates:(fig1_candidates w lens) ())
+  let hand = Serving.Workload.tuner_job (w.Serving.Workload.build lens) in
+  let candidates = Serving.Workload.candidates tn lens in
+  (key, Autotune.Tuner.tune ~device ~key ~hand ~candidates ())
 
 let test_tuner_win_and_memo () =
   Serving.Server.reset_caches ();
@@ -144,14 +132,13 @@ let test_tuner_win_and_memo () =
   let tn = tunable w in
   let key2 =
     Autotune.Tuner.key ~workload:"fig1" ~tables:(tn.Serving.Workload.tables_of lens2)
-      ~opt:Ir.Optimize.O0
   in
   let d2 =
     Autotune.Tuner.tune
       ~cfg:{ Autotune.Tuner.max_candidates = 16; survivors = 1 }
       ~device ~key:key2
-      ~hand:(tjob (w.Serving.Workload.build lens2))
-      ~candidates:(fig1_candidates w lens2) ()
+      ~hand:(Serving.Workload.tuner_job (w.Serving.Workload.build lens2))
+      ~candidates:(Serving.Workload.candidates tn lens2) ()
   in
   Alcotest.(check int) "all but one candidate pruned" (d2.Autotune.Tuner.searched - 1)
     d2.Autotune.Tuner.pruned
@@ -252,6 +239,61 @@ let test_hot_path_memos () =
   Alcotest.(check string) "reset restarts the state machine" "miss"
     r4.Serving.Server.tuner
 
+(* Every point of every tunable workload's space must change the lowered
+   job: its kernel bodies or its launch grouping.  A point that rebuilds
+   the hand job (an execution-only knob, say) ties the hand schedule in
+   modeled time, so the strict-win rule can never adopt it. *)
+let test_no_dead_points () =
+  let shape (j : Serving.Workload.job) =
+    ( List.map
+        (fun (k : Cora.Lower.kernel) -> Cora.Sig.canonical (Cora.Sig.of_stmt k.Cora.Lower.body))
+        j.Serving.Workload.kernels,
+      List.map
+        (fun (l : Machine.Launch.t) ->
+          List.map (fun (k : Cora.Lower.kernel) -> k.Cora.Lower.kname) l.Machine.Launch.kernels)
+        j.Serving.Workload.launches )
+  in
+  List.iter
+    (fun (w : Serving.Workload.t) ->
+      match w.Serving.Workload.tunable with
+      | None -> ()
+      | Some tn ->
+          let lens = w.Serving.Workload.sample (Workloads.Rng.create 3) in
+          let hand = shape (w.Serving.Workload.build lens) in
+          List.iter
+            (fun p ->
+              if shape (tn.Serving.Workload.build_tuned p lens) = hand then
+                Alcotest.failf "%s: point %s rebuilds the hand job" w.Serving.Workload.name
+                  (Autotune.Space.to_string p))
+            (tn.Serving.Workload.space lens))
+    (workloads ()
+    @ List.map Serving.Workload.by_name [ "fig1"; "vgemm"; "trmm"; "encoder"; "decode" ])
+
+(* The registry behind [Server.reset_caches] holds job memos weakly: a
+   dropped workload's memo is collected, while a live one is still
+   emptied by a reset. *)
+let test_dropped_memo_collected () =
+  Serving.Server.reset_caches ();
+  let lens = [| 3; 2; 1; 1 |] in
+  let collected = ref false in
+  let[@inline never] serve_and_drop () =
+    let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
+    ignore (Serving.Server.handle (Serving.Server.create ()) w lens);
+    Gc.finalise_last (fun () -> collected := true) w.Serving.Workload.job_cache
+  in
+  serve_and_drop ();
+  (* [Cora.Cache] keeps the stats of the latest cache under each name, so
+     a same-named successor stops that registry from holding the dropped
+     memo *)
+  let live = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped workload's job memo collected" true !collected;
+  ignore (Serving.Server.handle (Serving.Server.create ()) live lens);
+  Alcotest.(check int) "live memo filled" 1 (Cora.Cache.size live.Serving.Workload.job_cache);
+  Serving.Server.reset_caches ();
+  Alcotest.(check int) "reset empties the live memo" 0
+    (Cora.Cache.size live.Serving.Workload.job_cache)
+
 (* [Prelude_cache.build_keyed] with a precomputed [key_of] must be
    observationally the [build_cached] it replaces: same key, hit after
    the same first build, defs thunk never forced on a hit. *)
@@ -311,6 +353,8 @@ let () =
         @ [
             Alcotest.test_case "tuner state miss -> tuned" `Quick test_serving_tuner_states;
             Alcotest.test_case "hot-path memos" `Quick test_hot_path_memos;
+            Alcotest.test_case "dropped job memo collected" `Quick test_dropped_memo_collected;
+            Alcotest.test_case "no dead space points" `Quick test_no_dead_points;
             Alcotest.test_case "prelude keyed lookup" `Quick test_prelude_keyed;
           ]
       );

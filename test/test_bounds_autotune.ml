@@ -1,5 +1,5 @@
 (* Bounds inference for fused vloops (§B.3) and the grid-search
-   auto-scheduler (§6). *)
+   auto-scheduler (§6), run through the online tuner. *)
 
 open Cora
 
@@ -41,54 +41,64 @@ let test_fo_binary_search () =
 
 (* ---------------- autotune ---------------- *)
 
-let test_autotune_improves_or_matches () =
-  let lens = Workloads.Datasets.sample_sorted Workloads.Datasets.squad ~batch:64 ~seed:1 in
-  let cfg = Transformer.Config.base ~lens in
-  let r = Transformer.Autotune.tune_qkv ~device:Machine.Device.v100 cfg in
-  Alcotest.(check bool) "tuned no worse than hand schedule" true
-    (r.Transformer.Autotune.best_ns <= r.Transformer.Autotune.default_ns +. 1.0);
-  Alcotest.(check int) "whole space evaluated" 12
-    (List.length r.Transformer.Autotune.evaluated)
+let tunable (w : Serving.Workload.t) = Option.get w.Serving.Workload.tunable
 
-let test_autotune_kernel_correct () =
-  (* a tuned schedule still computes a correct projection *)
+(* The online tuner's grid search over the paper-scale encoder layer's
+   gemm tiles: it walks the whole space and never adopts a point slower
+   than the hand schedule. *)
+let test_autotune_improves_or_matches () =
+  Serving.Server.reset_caches ();
+  let dataset = Workloads.Datasets.squad in
+  let w = Serving.Workload.encoder ~base:true ~batch:64 ~dataset () in
+  let tn = tunable w in
+  let lens = Workloads.Datasets.sample_sorted dataset ~batch:64 ~seed:1 in
+  let r, _ =
+    Cora.Lower.with_memo ~cache:true (fun () ->
+        Autotune.Tuner.tune ~device:Machine.Device.v100
+          ~key:
+            (Autotune.Tuner.key ~workload:w.Serving.Workload.name
+               ~tables:(tn.Serving.Workload.tables_of lens))
+          ~hand:(Serving.Workload.tuner_job (w.Serving.Workload.build lens))
+          ~candidates:(Serving.Workload.candidates tn lens) ())
+  in
+  Alcotest.(check bool) "tuned no worse than hand schedule" true
+    (r.Autotune.Tuner.tuned_ns <= r.Autotune.Tuner.hand_ns);
+  Alcotest.(check int) "whole space searched"
+    (List.length (tn.Serving.Workload.space lens))
+    r.Autotune.Tuner.searched
+
+(* A jtile/ftile point of the tiny encoder, executed through the serving
+   path, returns bitwise the hand schedule's output. *)
+let test_autotune_tiles_bitwise () =
+  Serving.Server.reset_caches ();
+  let dataset = { Workloads.Datasets.name = "toy"; min_len = 2; mean_len = 5; max_len = 9 } in
+  let hand_w = Serving.Workload.encoder ~batch:3 ~dataset () in
   let lens = [| 6; 3; 1 |] in
-  let cfg = Transformer.Config.tiny ~lens in
-  let lenv = Transformer.Config.lenv cfg in
-  let t = Transformer.Builder.make_tensors cfg in
-  let k =
-    Transformer.Autotune.qkv_with ~tensors:t cfg { Transformer.Autotune.ftile = 4; jtile = 8 }
+  let point = Autotune.Space.make ~aux:[ ("jtile", 16); ("ftile", 4) ] () in
+  Alcotest.(check bool) "point is in the tiny encoder's space" true
+    (List.exists (Autotune.Space.equal point) ((tunable hand_w).Serving.Workload.space lens));
+  (* a separate instance, so the two builds never share a job memo *)
+  let tiled_w =
+    let w = Serving.Workload.encoder ~batch:3 ~dataset () in
+    { w with Serving.Workload.build = (tunable w).Serving.Workload.build_tuned point }
   in
-  let h = cfg.Transformer.Config.hidden in
-  let w = Transformer.Reference.random_weights cfg ~seed:2 in
-  let fill_dense (tensor : Tensor.t) a =
-    let r = Ragged.alloc tensor lenv in
-    Array.blit a 0 (Runtime.Buffer.floats r.Ragged.buf) 0 (Array.length a);
-    r
+  let sigs (w : Serving.Workload.t) =
+    List.map
+      (fun (k : Cora.Lower.kernel) -> Cora.Sig.canonical (Cora.Sig.of_stmt k.Cora.Lower.body))
+      (w.Serving.Workload.build lens).Serving.Workload.kernels
   in
-  let rw = fill_dense t.Transformer.Builder.wqkv w.Transformer.Reference.wqkv in
-  let rb = fill_dense t.Transformer.Builder.bqkv w.Transformer.Reference.bqkv in
-  let rin = Ragged.alloc t.Transformer.Builder.in_t lenv in
-  let rqkv = Ragged.alloc t.Transformer.Builder.qkv lenv in
-  Ragged.fill rin (fun idx ->
-      sin (float_of_int ((7 * List.nth idx 0) + (3 * List.nth idx 1) + List.nth idx 2)));
-  let _ = Exec.run_ragged ~lenv ~tensors:[ rw; rb; rin; rqkv ] [ k ] in
-  Array.iteri
-    (fun b len ->
-      for l = 0 to len - 1 do
-        for j = 0 to (3 * h) - 1 do
-          let expect = ref w.Transformer.Reference.bqkv.(j) in
-          for kk = 0 to h - 1 do
-            expect :=
-              !expect
-              +. (Ragged.get rin [ b; l; kk ] *. w.Transformer.Reference.wqkv.((j * h) + kk))
-          done;
-          let got = Ragged.get rqkv [ b; l; j ] in
-          if Float.abs (got -. !expect) > 1e-9 then
-            Alcotest.failf "tuned qkv mismatch b=%d l=%d j=%d" b l j
-        done
-      done)
-    lens
+  Alcotest.(check bool) "the point changes the kernels" true (sigs hand_w <> sigs tiled_w);
+  let srv = Serving.Server.create ~engine:`Compiled () in
+  let hand = Serving.Server.handle srv hand_w lens in
+  let tiled = Serving.Server.handle srv tiled_w lens in
+  Alcotest.(check int64) "checksum bitwise"
+    (Int64.bits_of_float hand.Serving.Server.checksum)
+    (Int64.bits_of_float tiled.Serving.Server.checksum);
+  Alcotest.(check bool) "output bitwise" true
+    (Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       (Option.get hand.Serving.Server.out)
+       (Option.get tiled.Serving.Server.out))
 
 (* The cost model memoises For-subtree compilation; on a transformer-sized
    pipeline the blocks of each kernel share their body subtree, so the
@@ -124,7 +134,7 @@ let () =
         [
           Alcotest.test_case "grid search beats hand schedule" `Quick
             test_autotune_improves_or_matches;
-          Alcotest.test_case "tuned kernel builds" `Quick test_autotune_kernel_correct;
+          Alcotest.test_case "tuned tiles serve bitwise" `Quick test_autotune_tiles_bitwise;
           Alcotest.test_case "cost-model memoisation hits" `Quick test_cost_model_memo_hits;
         ] );
     ]
