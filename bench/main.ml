@@ -675,7 +675,7 @@ let serve_autotune () =
     (* hand: replay twice so both measurements see warm compile/prelude
        caches — the steady serving state on both sides *)
     Serving.Server.reset_caches ();
-    let srv_h = Serving.Server.create ~device:gpu ~execute:exec () in
+    let srv_h = Serving.Server.create ~execute:exec () in
     ignore (Serving.Stream.replay srv_h w stream);
     let t0 = Obs.Trace_sink.now_us () in
     let hand = Serving.Stream.replay srv_h w stream in
@@ -684,7 +684,7 @@ let serve_autotune () =
        second pass serves from it *)
     Serving.Server.reset_caches ();
     let srv_t =
-      Serving.Server.create ~device:gpu ~execute:exec ~autotune:Autotune.Tuner.default_cfg ()
+      Serving.Server.create ~execute:exec ~autotune:Autotune.Tuner.default_cfg ()
     in
     ignore (Serving.Stream.replay srv_t w stream);
     let t1 = Obs.Trace_sink.now_us () in

@@ -289,6 +289,11 @@ awk '
   }' "$tmpdir/metrics.om" || { echo "ci: openmetrics histogram check failed" >&2; exit 1; }
 grep -q "cora_trace_dropped_total" "$tmpdir/metrics.om" \
   || { echo "ci: trace.dropped counter not exposed" >&2; exit 1; }
+# one occupancy gauge per serving cache family
+for c in compile_cache engine_cache prelude_cache autotune job_build_fig1; do
+  grep -q "^cora_cache_${c}_entries " "$tmpdir/metrics.om" \
+    || { echo "ci: cache gauge cora_cache_${c}_entries not exposed" >&2; exit 1; }
+done
 
 echo "== telemetry overhead budget" >&2
 # Spans-on (the telemetry run above) vs spans-off: the same stream replayed

@@ -404,7 +404,8 @@ let sample_runtime_gauges () =
   Obs.Metrics.set (Obs.Metrics.gauge "cache.prelude_entries") (Cora.Prelude_cache.size ());
   Obs.Metrics.set (Obs.Metrics.gauge "cache.engine_entries") (Cora.Exec.engine_memo_size ());
   (* per-cache hit/miss/eviction/occupancy gauges for every registered
-     bounded memo (compile, prelude, engine, batcher plan, tuner memo) *)
+     bounded memo (compile, prelude, engine, tuner memo, per-workload job
+     memos) *)
   List.iter
     (fun (name, s) ->
       Obs.Exposition.set_cache_gauges ~name ~hits:s.Cora.Cache.hits ~misses:s.Cora.Cache.misses

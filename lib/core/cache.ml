@@ -94,13 +94,12 @@ let evict_lru t =
 
 let add t k v =
   with_lock t (fun () ->
-      if not (Hashtbl.mem t.table k) then begin
+      if not (Hashtbl.mem t.table k) then
         while Hashtbl.length t.table >= t.cap do
           evict_lru t
         done;
-        t.tick <- t.tick + 1;
-        Hashtbl.add t.table k { value = v; touched = t.tick }
-      end)
+      t.tick <- t.tick + 1;
+      Hashtbl.replace t.table k { value = v; touched = t.tick })
 
 let set_capacity t n =
   with_lock t (fun () ->

@@ -1,12 +1,13 @@
 (** Bounded, domain-safe memo tables.
 
-    The serving layer keeps three process-wide memo tables (the lowering
-    memo, the prelude cache and the compiled-kernel memo).  Under a
-    concurrent front-end they are touched from several worker domains at
-    once, and under a long-lived request stream an unbounded table is a
-    memory leak — a steady drip of never-repeating batch shapes grows it
-    forever.  This module is the shared answer: a mutex-protected table
-    with a configurable entry cap and least-recently-used eviction.
+    The serving layer keeps five families of memo tables (the lowering
+    memo, the prelude cache, the compiled-kernel memo, the tuner memo and
+    one job memo per workload).  Under a concurrent front-end they are
+    touched from several worker domains at once, and under a long-lived
+    request stream an unbounded table is a memory leak — a steady drip
+    of never-repeating batch shapes grows it forever.  This module is
+    the shared answer: a mutex-protected table with a configurable entry
+    cap and least-recently-used eviction.
 
     Lookups refresh recency; inserting into a full table evicts the
     least-recently-used entry and bumps the [<name>.evicted] counter in
@@ -33,8 +34,9 @@ val create : name:string -> capacity:int -> unit -> ('k, 'v) t
 (** Lookup; a hit refreshes the entry's recency. *)
 val find : ('k, 'v) t -> 'k -> 'v option
 
-(** Insert (a no-op if [k] is already present), evicting
-    least-recently-used entries while the table is at capacity. *)
+(** Insert, replacing (and refreshing) any entry already under [k];
+    inserting a new key evicts least-recently-used entries while the
+    table is at capacity. *)
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 
 (** Change the entry cap (clamped to >= 1), evicting immediately if the

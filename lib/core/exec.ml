@@ -42,8 +42,6 @@ let engine_memo : (Sig.t * int, Runtime.Engine.compiled) Cache.t =
 
 let clear_engine_memo () = Cache.clear engine_memo
 let engine_memo_size () = Cache.size engine_memo
-let set_engine_memo_capacity n = Cache.set_capacity engine_memo n
-let engine_memo_capacity () = Cache.capacity engine_memo
 
 let engine_hit_c = Obs.Metrics.counter "engine_cache.hit"
 let engine_miss_c = Obs.Metrics.counter "engine_cache.miss"

@@ -52,13 +52,7 @@ val with_engine_stats : (unit -> 'a) -> 'a * engine_stats
     {!Lower.clear_memo} by [Serving.Server.reset_caches]). *)
 val clear_engine_memo : unit -> unit
 
-(** Number of compiled kernels currently memoized. *)
+(** Number of compiled kernels currently memoized.  The memo is shared
+    across serving worker domains: mutex-protected and bounded with
+    least-recently-used eviction ([engine_cache.evicted] counter). *)
 val engine_memo_size : unit -> int
-
-(** The memo is shared across serving worker domains: mutex-protected
-    and bounded with least-recently-used eviction ([engine_cache.evicted]
-    counter).  [set_engine_memo_capacity] clamps to >= 1 and evicts
-    immediately when shrinking below the current size. *)
-val set_engine_memo_capacity : int -> unit
-
-val engine_memo_capacity : unit -> int

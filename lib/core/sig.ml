@@ -411,22 +411,6 @@ let lowering_key ?(ranges : (int * Schedule.range_mode) list = []) ?(init = true
       pf ctx " (ranges%s)" (String.concat "" (List.map (fun r -> " " ^ r) rs));
       pf ctx " init%b epi%b sfx:%s)" init apply_epilogue name_suffix)
 
-(* Order-sensitive signature of a sequence of integer arrays — the
-   batch-former's pack-plan key: two drain windows whose pending requests
-   carry the same raggedness vectors in the same order share one packing
-   plan ([Serving.Batcher]'s Cache-backed memo). *)
-let of_rows (rows : int array array) : t =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "(rows";
-  Array.iter
-    (fun a ->
-      Buffer.add_string b (Printf.sprintf " (n%d" (Array.length a));
-      Array.iter (fun x -> Buffer.add_string b (Printf.sprintf " %d" x)) a;
-      Buffer.add_string b ")")
-    rows;
-  Buffer.add_string b ")";
-  Buffer.contents b
-
 let of_tables (tables : (string * int array) list) : t =
   let tables = List.sort (fun (a, _) (b, _) -> String.compare a b) tables in
   let b = Buffer.create 128 in

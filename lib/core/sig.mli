@@ -64,12 +64,6 @@ val lowering_key :
   Schedule.t ->
   t
 
-(** Order-sensitive signature of a sequence of integer arrays — the
-    pack-plan memo key of the serving batch-former: a drain window is
-    identified by the raggedness vectors of its pending requests, in
-    order. *)
-val of_rows : int array array -> t
-
 (** Raggedness signature of a batch: the concrete length-function tables
     (name → per-index lengths) that the prelude will consume.  Entries
     are sorted by name, so binding order does not matter; any change to

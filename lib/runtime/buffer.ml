@@ -95,13 +95,16 @@ module Arena = struct
   let acquire_class_counted t n =
     if n <= 0 then acquire_counted t n else acquire_counted t (size_class n)
 
+  (* Every zero-length float array is the same atom, so only non-empty
+     arrays can be told apart by physical equality. *)
   let release t a =
     let n = Array.length a in
-    Mutex.lock t.mutex;
-    (match Hashtbl.find_opt t.pools n with
-    | Some l -> l := a :: !l
-    | None -> Hashtbl.add t.pools n (ref [ a ]));
-    Mutex.unlock t.mutex
+    Mutex.protect t.mutex @@ fun () ->
+    match Hashtbl.find_opt t.pools n with
+    | Some l ->
+        if n > 0 && List.memq a !l then invalid_arg "Buffer.Arena.release: already released";
+        l := a :: !l
+    | None -> Hashtbl.add t.pools n (ref [ a ])
 
   let clear t =
     Mutex.lock t.mutex;

@@ -50,6 +50,8 @@ module Arena : sig
       [arena.hit]/[arena.miss] counters under concurrency. *)
   val acquire_class_counted : t -> int -> float array * bool
 
+  (** Return [a] to its pool.  Raises [Invalid_argument] if [a] (a
+      non-empty array, compared physically) is already pooled. *)
   val release : t -> float array -> unit
 
   (** Drop all pooled arrays. *)

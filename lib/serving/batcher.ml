@@ -1,7 +1,5 @@
 (** Continuous batch-former (see batcher.mli). *)
 
-open Cora
-
 type config = {
   max_batch : int;
   max_wait_us : float;
@@ -101,20 +99,7 @@ module Pack = struct
     { bins; elems_actual; elems_padded; elems_naive }
 end
 
-(* Pack plans depend only on the members' row lengths and the knobs, so
-   they memoize under the same kind of canonical raggedness signature the
-   prelude cache uses ([Sig.of_rows]). *)
-let plan_cache : (string, Pack.plan) Cache.t =
-  Cache.create ~name:"batcher.plan" ~capacity:256 ()
-
-let plan ~tile ~max_batch (members : int array array) : Pack.plan =
-  let key = Printf.sprintf "(pack t%d b%d %s)" tile max_batch (Sig.canonical (Sig.of_rows members)) in
-  match Cache.find plan_cache key with
-  | Some p -> p
-  | None ->
-      let p = Pack.pack ~tile ~max_batch members in
-      Cache.add plan_cache key p;
-      p
+let plan = Pack.pack
 
 (* ------------------------------------------------------------------ *)
 (* Runtime: form, run, scatter                                         *)

@@ -80,10 +80,7 @@ module Pack : sig
   val pack : tile:int -> max_batch:int -> int array array -> plan
 end
 
-(** {!Pack.pack} memoized under a {!Cora.Sig.of_rows} signature of the
-    members' row lengths (plus the two knobs), so repeating window
-    compositions — the steady state of a paced stream — skip the packing
-    work entirely. *)
+(** The packing plan {!run} serves a window under: {!Pack.pack}. *)
 val plan : tile:int -> max_batch:int -> int array array -> Pack.plan
 
 type member = {

@@ -24,7 +24,6 @@ type response = {
 }
 
 type t = {
-  device : Machine.Device.t;
   compile_cache : bool;
   prelude_cache : bool;
   execute : bool;
@@ -33,38 +32,20 @@ type t = {
   autotune : Autotune.Tuner.cfg option;
 }
 
-let create ?(device = Machine.Device.v100) ?(compile_cache = true) ?(prelude_cache = true)
-    ?(execute = true) ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?autotune () : t =
-  { device; compile_cache; prelude_cache; execute; engine; opt; autotune }
+let create ?(compile_cache = true) ?(prelude_cache = true) ?(execute = true)
+    ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?autotune () : t =
+  { compile_cache; prelude_cache; execute; engine; opt; autotune }
 
-let compile_cache_enabled t = t.compile_cache
-let prelude_cache_enabled t = t.prelude_cache
 let engine t = t.engine
 let opt_level t = t.opt
 let autotune_enabled t = t.autotune <> None
 let with_engine t engine = { t with engine }
-
-(* Launch-model memo.  {!Machine.Launch.pipeline} is a pure function of
-   the lowered kernels, the prelude and the device, but evaluating it
-   enumerates every block — host work proportional to the grid, paid on
-   every request even when compile and prelude both hit.  An autotuned
-   schedule typically has *more* blocks than the hand one (that is where
-   its modeled win comes from), so without this memo the tuned steady
-   state would cost more host time per request than the hand steady
-   state.  Keyed by the full request identity — workload, device, engine,
-   opt level, schedule variant and the canonical raggedness signature
-   (never the hash alone) — which determines the job and prelude exactly,
-   hence the modeled time.  Values are a few floats; collisions are
-   impossible (full-key compare) and eviction merely re-enumerates. *)
-let launch_memo : (string, Machine.Launch.pipeline_time) Cache.t =
-  Cache.create ~name:"launch_model" ~capacity:256 ()
 
 let reset_caches () =
   Lower.clear_memo ();
   Prelude_cache.clear ();
   Exec.clear_engine_memo ();
   Autotune.Tuner.clear ();
-  Cache.clear launch_memo;
   Workload.clear_caches ()
 
 let default_fill name =
@@ -203,7 +184,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
   (* The tuner decision is baked into the job memo: an autotuned server's
      steady-state request does exactly one lookup — same work as a hand
      server — and gets back the job to serve, the tuner state to report
-     and the schedule-variant tag that keys the launch-model memo below.
+     and the job's modeled kernel time.
      Keys are mode-prefixed ("auto|<opt>" vs "hand"), so an autotuned and
      an untuned server sharing one workload value can never read each
      other's entries (decisions do not depend on the opt level in the
@@ -226,33 +207,31 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     | None -> "hand"
   in
   let jkey = jkey_prefix ^ lens_key in
-  let variant_of (d : Autotune.Tuner.decision) =
-    match d.Autotune.Tuner.point with
-    | Some p -> "t " ^ Autotune.Space.to_string p
-    | None -> "hand"
-  in
   let state_of (d : Autotune.Tuner.decision) =
     if d.Autotune.Tuner.point = None then "hand" else "tuned"
   in
-  let insert_cached job state variant sig_ pkey =
+  (* [Cache.add] replaces, so a stale-epoch entry left behind by a
+     [Autotune.Tuner.clear] is overwritten rather than kept forever. *)
+  let insert_cached job state sig_ pkey kernels_ns =
     if srv.compile_cache then
       Cache.add w.Workload.job_cache jkey
         {
           Workload.c_epoch = ep;
           c_job = job;
           c_state = state;
-          c_variant = variant;
           c_opt = None;
           c_sig = sig_;
           c_pkey = pkey;
+          c_kernels_ns = kernels_ns;
         }
   in
   (* [pending] carries the tune obligation (a true tuner miss) out of the
      compile stage; the tune itself runs after the staged pipeline.
-     [baked] carries a memo hit's precomputed signature and prelude, so
-     the hit path below skips the per-request Sig/defs/prelude-key work
-     a compile-memo hit would still pay. *)
-  let job, compile_hits, compile_misses, state0, variant, pending, baked =
+     [baked] carries a memo hit's precomputed signature, prelude key and
+     kernel time, so the hit path below skips the per-request
+     Sig/defs/prelude-key and launch-model work a compile-memo hit would
+     still pay. *)
+  let job, compile_hits, compile_misses, state0, pending, baked =
     staged "compile" @@ fun () ->
     let cached =
       if srv.compile_cache then
@@ -269,7 +248,6 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
           List.length cj.Workload.c_job.Workload.kernels,
           0,
           cj.Workload.c_state,
-          cj.Workload.c_variant,
           None,
           Some cj )
     | None -> (
@@ -280,7 +258,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
         match auto with
         | None ->
             let job, memo = build_with (fun () -> w.Workload.build lens) in
-            (job, memo.Lower.hits, memo.Lower.misses, "off", "hand", None, None)
+            (job, memo.Lower.hits, memo.Lower.misses, "off", None, None)
         | Some (cfg, tn) -> (
             let key =
               Autotune.Tuner.key ~workload:w.Workload.name
@@ -288,14 +266,13 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
             in
             match Autotune.Tuner.lookup key with
             | Some d ->
-                let variant = variant_of d and state = state_of d in
                 let job, memo =
                   build_with (fun () ->
                       match d.Autotune.Tuner.point with
                       | Some p -> tn.Workload.build_tuned p lens
                       | None -> w.Workload.build lens)
                 in
-                (job, memo.Lower.hits, memo.Lower.misses, state, variant, None, None)
+                (job, memo.Lower.hits, memo.Lower.misses, state_of d, None, None)
             | None ->
                 (* serve the hand schedule now; tune post-pipeline *)
                 let job, memo = build_with (fun () -> w.Workload.build lens) in
@@ -303,7 +280,6 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
                   memo.Lower.hits,
                   memo.Lower.misses,
                   "miss",
-                  "hand",
                   Some (cfg, tn, key),
                   None )))
   in
@@ -361,43 +337,32 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     staged "prelude" @@ fun () ->
     Obs.Span.with_span "serve.prelude" (fun () -> prelude_with ~pkey job)
   in
-  (* A fresh build with nothing left to tune is the memo's steady state:
-     bake it (with its precomputed signature and prelude key) so the next
-     same-key request replays the compile+prelude front with two bounded
-     lookups.  A pending tune inserts instead after the search, below. *)
-  (match (baked, pending) with
-  | None, None -> insert_cached job state0 variant tables_sig pkey
-  | _ -> ());
   (* Model time: the launches are timed against the supplied prelude (no
      rebuild inside the pipeline); its host/copy cost is charged only when
-     this request actually built it. *)
-  let pt =
+     this request actually built it.  The pipeline is a function of the
+     job and prelude alone, so a memo hit reads the time baked into its
+     entry instead of re-enumerating every block. *)
+  let kernels_of (j : Workload.job) built =
+    (Machine.Launch.pipeline ~engine:srv.engine ~opt:srv.opt ~prelude:built
+       ~device:Machine.Device.v100 ~lenv:j.Workload.lenv j.Workload.launches)
+      .Machine.Launch.kernels_ns
+  in
+  let kernels_ns =
     staged "launch" @@ fun () ->
-    let lkey =
-      String.concat "|"
-        [
-          w.Workload.name;
-          srv.device.Machine.Device.name;
-          (match srv.engine with `Interp -> "interp" | `Compiled -> "compiled");
-          Ir.Optimize.level_name srv.opt;
-          variant;
-          Sig.canonical tables_sig;
-        ]
-    in
-    match Cache.find launch_memo lkey with
-    | Some pt -> pt
-    | None ->
-        let pt =
-          Machine.Launch.pipeline ~engine:srv.engine ~opt:srv.opt ~prelude:built
-            ~device:srv.device ~lenv:job.Workload.lenv job.Workload.launches
-        in
-        Cache.add launch_memo lkey pt;
-        pt
+    match baked with Some cj -> cj.Workload.c_kernels_ns | None -> kernels_of job built
   in
+  (* A fresh build with nothing left to tune is the memo's steady state:
+     bake it (with its precomputed signature, prelude key and kernel time)
+     so the next same-key request replays the compile+prelude+launch front
+     with two bounded lookups.  A pending tune inserts instead after the
+     search, below. *)
+  (match (baked, pending) with
+  | None, None -> insert_cached job state0 tables_sig pkey kernels_ns
+  | _ -> ());
   let prelude_host_ns, prelude_copy_ns =
-    if prelude_hit then (0.0, 0.0) else Machine.Launch.prelude_cost ~device:srv.device built
+    if prelude_hit then (0.0, 0.0)
+    else Machine.Launch.prelude_cost ~device:Machine.Device.v100 built
   in
-  let kernels_ns = pt.Machine.Launch.kernels_ns in
   let model_ns = kernels_ns +. prelude_host_ns +. prelude_copy_ns in
   let counters, out, xstats =
     staged "execute" @@ fun () ->
@@ -425,7 +390,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
         let t0 = Obs.Trace_sink.now_us () in
         let d, _ =
           Lower.with_memo ~cache:srv.compile_cache (fun () ->
-              Autotune.Tuner.tune ~cfg ~device:srv.device ~key ~tables_sig
+              Autotune.Tuner.tune ~cfg ~device:Machine.Device.v100 ~key ~tables_sig
                 ~hand:(Workload.tuner_job job)
                 ~candidates:(Workload.candidates tn lens) ())
         in
@@ -433,15 +398,17 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
            this signature serves it with a single lookup.  The winner's
            prelude is already hot: the tune routed every candidate build
            through the prelude cache under the same schedule-invariant
-           [tables_sig], so only the key is derived here. *)
+           [tables_sig], so pricing its launches here is a prelude hit. *)
         (match d.Autotune.Tuner.point with
-        | None -> insert_cached job "hand" "hand" tables_sig pkey
-        | Some p ->
+        | None -> insert_cached job "hand" tables_sig pkey kernels_ns
+        | Some p when srv.compile_cache ->
             let tuned, _ =
-              Lower.with_memo ~cache:srv.compile_cache (fun () ->
-                  tn.Workload.build_tuned p lens)
+              Lower.with_memo ~cache:true (fun () -> tn.Workload.build_tuned p lens)
             in
-            insert_cached tuned "tuned" (variant_of d) tables_sig (pkey_of tuned));
+            let tuned_pkey = pkey_of tuned in
+            let tuned_built, _ = prelude_with ~pkey:tuned_pkey tuned in
+            insert_cached tuned "tuned" tables_sig tuned_pkey (kernels_of tuned tuned_built)
+        | Some _ -> ());
         ("miss", Obs.Trace_sink.now_us () -. t0)
   in
   Obs.Metrics.observe (Obs.Metrics.histogram "serve.model_ns") model_ns;

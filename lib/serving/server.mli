@@ -65,15 +65,17 @@ type t
     two-stage search after the response's pipeline completes — so tuning
     never delays the response's own stages, and every response stays
     bitwise-identical to an untuned replay (the candidate spaces only
-    move data-axis loop structure). *)
+    move data-axis loop structure).
+
+    Modeled times are always priced on {!Machine.Device.v100}.  With the
+    compile cache on, each workload's job memo ({!Workload.cached_job})
+    carries the job's modeled kernel time, so a repeat request skips the
+    launch model as well as compilation. *)
 val create :
-  ?device:Machine.Device.t ->
   ?compile_cache:bool -> ?prelude_cache:bool -> ?execute:bool ->
   ?engine:Cora.Exec.engine -> ?opt:Ir.Optimize.level ->
   ?autotune:Autotune.Tuner.cfg -> unit -> t
 
-val compile_cache_enabled : t -> bool
-val prelude_cache_enabled : t -> bool
 val autotune_enabled : t -> bool
 val engine : t -> Cora.Exec.engine
 

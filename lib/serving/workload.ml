@@ -26,10 +26,10 @@ type cached_job = {
   c_epoch : int;
   c_job : job;
   c_state : string;
-  c_variant : string;
   c_opt : int option;
   c_sig : Sig.t;
   c_pkey : Sig.t;
+  c_kernels_ns : float;
 }
 
 type t = {

@@ -73,26 +73,30 @@ type tunable = {
 }
 
 (** One memoized serving decision: the built job, the tuner verdict that
-    produced it, and the request-invariant key derivations a repeat
-    request would otherwise recompute — the tables' raggedness signature
-    and the prelude-cache key.  A hit replays the whole compile+prelude
-    front of the pipeline with two bounded-cache lookups and no [Sig] or
-    def-list work.  Deliberately {e not} the built prelude itself: the
-    prelude cache's LRU bound must keep governing prelude memory, so an
-    evicted prelude rebuilds even on a job-memo hit.  [c_epoch] is
+    produced it, and the request-invariant derivations a repeat request
+    would otherwise recompute — the tables' raggedness signature, the
+    prelude-cache key and the modeled kernel time.  A hit replays the
+    whole compile+prelude+launch front of the pipeline with two
+    bounded-cache lookups and no [Sig], def-list or launch-model work.
+    Deliberately {e not} the built prelude itself: the prelude cache's
+    LRU bound must keep governing prelude memory, so an evicted prelude
+    rebuilds even on a job-memo hit.  [c_epoch] is
     {!Autotune.Tuner.epoch} at insertion time — autotuned entries are
-    ignored after a {!Autotune.Tuner.clear}, so the Sig-keyed tuner memo
-    stays the source of truth. *)
+    ignored after a {!Autotune.Tuner.clear} (and replaced by the
+    re-tune's insert), so the Sig-keyed tuner memo stays the source of
+    truth. *)
 type cached_job = {
   c_epoch : int;
   c_job : job;
   c_state : string;  (** tuner state to report: ["off"], ["hand"], ["tuned"] *)
-  c_variant : string;  (** schedule variant label for the launch-model key *)
   c_opt : int option;
       (** always [None]: schedule points carry no engine opt level.  Kept
           only because perfbench's replay reads the field *)
   c_sig : Cora.Sig.t;  (** [Sig.of_tables c_job.tables], precomputed *)
   c_pkey : Cora.Sig.t;  (** {!Cora.Prelude_cache.key_of}, precomputed *)
+  c_kernels_ns : float;
+      (** [kernels_ns] of {!Machine.Launch.pipeline} over [c_job] and its
+          prelude on the v100 model, evaluated before insertion *)
 }
 
 type t = {
@@ -124,9 +128,9 @@ type t = {
           Decisions do not depend on the opt level in the auto prefix;
           perfbench's replay recomputes that prefix.  A repeat
           request skips job construction, the per-kernel [Sig]
-          computation a compile-memo hit still pays, *and* the tuner-memo
-          key derivation: steady-state autotuned serving does exactly one
-          lookup, same as hand serving.  Per instance, because [build]
+          computation a compile-memo hit still pays, the tuner-memo key
+          derivation *and* the launch model: steady-state autotuned
+          serving does exactly one lookup, same as hand serving.  Per instance, because [build]
           closes over this value's configuration: two workloads with the
           same name but different configurations can never collide.
           Consulted by {!Server.handle} only when its compile cache is

@@ -204,40 +204,132 @@ let test_serving_tuner_states () =
   Alcotest.(check bool) "enabled flag" true (Serving.Server.autotune_enabled srv);
   Alcotest.(check bool) "disabled flag" false (Serving.Server.autotune_enabled off)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A job-memo hit reads the kernel time baked into its entry.  Served
+   with a cold prelude cache it also rebuilds the prelude, so both its
+   kernels_ns and its model_ns must carry the bits of a server that
+   bypasses every cache. *)
+let check_baked_time name (hit : Serving.Server.response) (bypass : Serving.Server.response) =
+  Alcotest.(check bool) (name ^ ": kernels_ns bitwise") true
+    (same_bits hit.Serving.Server.kernels_ns bypass.Serving.Server.kernels_ns);
+  Alcotest.(check bool) (name ^ ": model_ns bitwise") true
+    (same_bits hit.Serving.Server.model_ns bypass.Serving.Server.model_ns)
+
+let memo_hits (w : Serving.Workload.t) =
+  (Cora.Cache.stats w.Serving.Workload.job_cache).Cora.Cache.hits
+
 (* The hot-path memos behind steady-state serving: the per-workload job
-   memo (decision baked in) and the launch-model memo both register in
-   the cache stats registry, a memo-hit request is still bitwise equal
-   to a cache-bypassed build, and [Server.reset_caches] really empties
-   the per-workload memos (the tuner state machine restarts at "miss"). *)
+   memo (decision and modeled kernel time baked in) registers in the
+   cache stats registry beside the four process-wide memos, a memo hit
+   is bitwise equal to a cache-bypassed build in output and modeled time
+   — hand entries, a tuned entry and a repeated batcher window — and
+   [Server.reset_caches] really empties the per-workload memos (the
+   tuner state machine restarts at "miss"). *)
 let test_hot_path_memos () =
   Serving.Server.reset_caches ();
+  let bypass ?autotune () =
+    Serving.Server.create ~compile_cache:false ~prelude_cache:false ?autotune ()
+  in
+  (* hand entries *)
+  let hand = Serving.Server.create () in
+  let rng = Workloads.Rng.create 5 in
+  List.iter
+    (fun (w : Serving.Workload.t) ->
+      let name = w.Serving.Workload.name in
+      let lens = w.Serving.Workload.sample rng in
+      ignore (Serving.Server.handle hand w lens);
+      Cora.Prelude_cache.clear ();
+      let h0 = memo_hits w in
+      let hit = Serving.Server.handle hand w lens in
+      Alcotest.(check int) (name ^ ": job-memo hit") (h0 + 1) (memo_hits w);
+      Alcotest.(check bool) (name ^ ": prelude rebuilt") false hit.Serving.Server.prelude_hit;
+      check_baked_time name hit (Serving.Server.handle (bypass ()) w lens))
+    (workloads ());
+  (* a tuned entry: its kernel time is priced when the tune bakes it *)
   let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
   let srv = Serving.Server.create ~autotune:Autotune.Tuner.default_cfg ~execute:true () in
   let lens = [| 6; 4; 3; 1 |] in
   let r1 = Serving.Server.handle srv w lens in
+  Alcotest.(check string) "first request tunes" "miss" r1.Serving.Server.tuner;
+  Cora.Prelude_cache.clear ();
   let r2 = Serving.Server.handle srv w lens in
+  Alcotest.(check string) "hit serves tuned state" "tuned" r2.Serving.Server.tuner;
+  let rt = Serving.Server.handle (bypass ~autotune:Autotune.Tuner.default_cfg ()) w lens in
+  Alcotest.(check string) "bypass serves the tuned schedule" "tuned" rt.Serving.Server.tuner;
+  check_baked_time "tuned fig1" r2 rt;
   let reg = Cora.Cache.registered_stats () in
-  Alcotest.(check bool) "launch-model memo registered" true
-    (List.mem_assoc "launch_model" reg);
+  let families =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun (n, _) ->
+           if String.starts_with ~prefix:"test_" n then None
+           else if String.starts_with ~prefix:"job_build." n then Some "job_build"
+           else Some n)
+         reg)
+  in
+  Alcotest.(check (list string)) "five serving cache families"
+    [ "autotune"; "compile_cache"; "engine_cache"; "job_build"; "prelude_cache" ]
+    families;
   Alcotest.(check bool) "per-workload job memo registered" true
     (List.mem_assoc "job_build.fig1" reg);
   (* the baked entry serves the same bytes a fresh cache-bypassed build does *)
-  let bypass =
-    Serving.Server.create ~compile_cache:false ~prelude_cache:false ~execute:true ()
-  in
-  let rb = Serving.Server.handle bypass w lens in
+  let rb = Serving.Server.handle (bypass ()) w lens in
   let out r = Option.get r.Serving.Server.out in
   Alcotest.(check bool) "memo-hit output bitwise equal to bypass" true
-    (Array.for_all2
-       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-       (out r2) (out rb));
-  Alcotest.(check string) "hit serves tuned state" "tuned" r2.Serving.Server.tuner;
-  ignore r1;
+    (bits_equal (out r2) (out rb));
+  (* the same batcher window served twice: the second pass's mega-batches
+     hit the job memo *)
+  let wb = Serving.Workload.fig1 ~batch:6 ~max_len:10 () in
+  let cfg = { Serving.Batcher.default_config with Serving.Batcher.tile = 4; max_batch = 2 } in
+  let members =
+    Array.mapi
+      (fun i l -> { Serving.Batcher.m_lens = l; m_deadline_us = infinity; m_id = 7000 + i })
+      [| [| 3; 7; 1 |]; [| 10; 2 |]; [| 5; 5; 5; 5 |] |]
+  in
+  ignore (Serving.Batcher.run cfg hand wb members);
+  Cora.Prelude_cache.clear ();
+  let h0 = memo_hits wb in
+  let second = Serving.Batcher.run cfg hand wb members in
+  Alcotest.(check bool) "window's mega-batches hit the job memo" true (memo_hits wb > h0);
+  let cold = Serving.Batcher.run cfg (bypass ()) wb members in
+  Array.iteri
+    (fun i o ->
+      match (o, cold.(i)) with
+      | Serving.Batcher.Served { resp = a; _ }, Serving.Batcher.Served { resp = b; _ } ->
+          check_baked_time (Printf.sprintf "batched member %d" i) a b
+      | _ -> Alcotest.failf "member %d: not served in both runs" i)
+    second;
   (* reset wipes the baked jobs: the tuner warms up from scratch *)
   Serving.Server.reset_caches ();
   let r4 = Serving.Server.handle srv w lens in
   Alcotest.(check string) "reset restarts the state machine" "miss"
     r4.Serving.Server.tuner
+
+(* [Autotune.Tuner.clear] leaves stale-epoch entries in the job memo.  The
+   re-tune's insert must replace them; otherwise every later request
+   rebuilds its job through the lowering memo while still reporting
+   "tuned". *)
+let test_clear_rewarms_job_memo () =
+  Serving.Server.reset_caches ();
+  let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
+  let srv = Serving.Server.create ~autotune:Autotune.Tuner.default_cfg ~execute:false () in
+  let lens = [| 6; 4; 3; 1 |] in
+  ignore (Serving.Server.handle srv w lens);
+  ignore (Serving.Server.handle srv w lens);
+  Autotune.Tuner.clear ();
+  let r1 = Serving.Server.handle srv w lens in
+  Alcotest.(check string) "re-tunes after clear" "miss" r1.Serving.Server.tuner;
+  ignore (Serving.Server.handle srv w lens);
+  let probes () =
+    match List.assoc_opt "compile_cache" (Cora.Cache.registered_stats ()) with
+    | Some s -> s.Cora.Cache.hits + s.Cora.Cache.misses
+    | None -> Alcotest.fail "compile_cache not registered"
+  in
+  let p0 = probes () in
+  let r3 = Serving.Server.handle srv w lens in
+  Alcotest.(check string) "third request serves tuned" "tuned" r3.Serving.Server.tuner;
+  Alcotest.(check int) "third request makes no compile_cache probe" p0 (probes ())
 
 (* Every point of every tunable workload's space must change the lowered
    job: its kernel bodies or its launch grouping.  A point that rebuilds
@@ -353,6 +445,8 @@ let () =
         @ [
             Alcotest.test_case "tuner state miss -> tuned" `Quick test_serving_tuner_states;
             Alcotest.test_case "hot-path memos" `Quick test_hot_path_memos;
+            Alcotest.test_case "tuner clear re-warms the job memo" `Quick
+              test_clear_rewarms_job_memo;
             Alcotest.test_case "dropped job memo collected" `Quick test_dropped_memo_collected;
             Alcotest.test_case "no dead space points" `Quick test_no_dead_points;
             Alcotest.test_case "prelude keyed lookup" `Quick test_prelude_keyed;

@@ -573,6 +573,9 @@ let test_arena_reuse () =
   a.(0) <- 42.0;
   Arena.release t a;
   Alcotest.(check int) "stored after release" 1 (Arena.stored t);
+  Alcotest.check_raises "double release raises"
+    (Invalid_argument "Buffer.Arena.release: already released") (fun () -> Arena.release t a);
+  Alcotest.(check int) "double release not pooled" 1 (Arena.stored t);
   let b = Arena.acquire t 100 in
   Alcotest.(check bool) "same array recycled" true (a == b);
   Alcotest.(check (float 0.0)) "zero-filled on reuse" 0.0 b.(0);
