@@ -94,7 +94,7 @@ awk -v o="$ops" 'BEGIN { exit (o > 0) ? 0 : 1 }' \
   || { echo "ci: scalar_ops_per_sec=$ops, expected > 0" >&2; exit 1; }
 
 echo "== cora bench-stream --exec --engine compiled --opt 2 --smoke" >&2
-# Same stream at the highest optimization level.  --smoke keeps the bitwise
+# Same stream at optimization level 2.  --smoke keeps the bitwise
 # interpreter comparison AND fails if the buffer arena misses after the
 # first window — the zero-allocation steady-state contract: once the first
 # window has populated the arena's size classes, serving must not allocate
@@ -450,6 +450,28 @@ grep -q '"reason":"deadline_exceeded"' "$flight" \
 grep -q '"outcome":"deadline_exceeded"' "$flight" \
   || { echo "ci: $flight records no deadline_exceeded outcome" >&2; exit 1; }
 # the dump was this step's fixture; don't leave it lying around the tree
+rm -f results/flight-*.json
+
+echo "== flight recorder dump on batched deadline miss" >&2
+# The same impossible deadline behind the batching front-end: every member
+# is evicted when its mega-batch forms, answered Deadline_exceeded, and the
+# batched outcome path must auto-dump the flight ring just like the solo one.
+rm -f results/flight-*.json
+dune exec bin/cora_cli.exe -- bench-stream --requests 8 --domains 2 --batching \
+  --deadline-ms 0.0001 > "$tmpdir/stream_batch_deadline.txt" 2> /dev/null
+bdjson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_batch_deadline.txt")
+test -n "$bdjson" || { echo "ci: no BENCH_STREAM line (batched deadline)" >&2; exit 1; }
+for pair in served:0 deadline_exceeded:8 evicted:8; do
+  n=$(json_field "$bdjson" "${pair%%:*}")
+  test "$n" = "${pair#*:}" \
+    || { echo "ci: ${pair%%:*}=$n on the batched deadline stream, expected ${pair#*:}" >&2; exit 1; }
+done
+flight=$(ls results/flight-*.json 2> /dev/null | head -n 1)
+test -n "$flight" || { echo "ci: no flight dump after batched deadline misses" >&2; exit 1; }
+grep -q '"reason":"deadline_exceeded"' "$flight" \
+  || { echo "ci: $flight has no deadline_exceeded reason" >&2; exit 1; }
+grep -q '"outcome":"deadline_exceeded"' "$flight" \
+  || { echo "ci: $flight records no deadline_exceeded outcome" >&2; exit 1; }
 rm -f results/flight-*.json
 
 echo "ci: OK" >&2

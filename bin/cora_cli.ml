@@ -598,14 +598,7 @@ let bench_stream_cmd =
     (* trmm carries no batching descriptor: the front-end serves it as
        singletons, and the serial driver falls back to the plain replay *)
     let batching_active = batching && Option.is_some w.Serving.Workload.batching in
-    let bcfg =
-      {
-        Serving.Batcher.max_batch;
-        max_wait_us = max_wait_ms *. 1e3;
-        headroom_us = 0.0;
-        tile;
-      }
-    in
+    let bcfg = { Serving.Batcher.max_batch; max_wait_us = max_wait_ms *. 1e3; tile } in
     Obs.Metrics.reset ();
     Serving.Server.reset_caches ();
     Runtime.Buffer.Arena.clear Runtime.Buffer.Arena.global;
@@ -687,12 +680,7 @@ let bench_stream_cmd =
                      })
                    items)
               |> Array.to_list
-              |> List.map (function
-                   | Serving.Batcher.Served { resp; _ } -> Serving.Frontend.Response resp
-                   | Serving.Batcher.Expired { stage; _ } ->
-                       Serving.Frontend.Deadline_exceeded stage
-                   | Serving.Batcher.Failed { exn; backtrace; _ } ->
-                       Serving.Frontend.Error { exn; backtrace })
+              |> List.map Serving.Frontend.of_batch_outcome
             else
               List.map
                 (fun r -> Serving.Frontend.Response r)

@@ -3,11 +3,10 @@
 type config = {
   max_batch : int;
   max_wait_us : float;
-  headroom_us : float;
   tile : int;
 }
 
-let default_config = { max_batch = 8; max_wait_us = 2000.0; headroom_us = 0.0; tile = 4 }
+let default_config = { max_batch = 8; max_wait_us = 2000.0; tile = 4 }
 
 (* ------------------------------------------------------------------ *)
 (* Pure bin-packing                                                    *)
@@ -15,7 +14,7 @@ let default_config = { max_batch = 8; max_wait_us = 2000.0; headroom_us = 0.0; t
 module Pack = struct
   let ceilmult n m = if m <= 0 then n else (n + m - 1) / m * m
 
-  type bin = { members : int array; tiles : int; cuts : int array }
+  type bin = { members : int array; tiles : int }
 
   type plan = {
     bins : bin array;
@@ -68,15 +67,7 @@ module Pack = struct
     let bins =
       Array.of_list
         (List.map
-           (fun (mem, tl) ->
-             let members_arr = Array.of_list (List.rev !mem) in
-             let wts = Array.map (fun i -> w.(i)) members_arr in
-             (* advisory chunk cuts for parallel execution, balanced on the
-                tile weights — the Cost_model proxy the engine itself uses *)
-             let cuts =
-               Runtime.Engine.balance_chunks wts (min 4 (Array.length members_arr))
-             in
-             { members = members_arr; tiles = !tl; cuts })
+           (fun (mem, tl) -> { members = Array.of_list (List.rev !mem); tiles = !tl })
            !bins)
     in
     let elems_actual =
@@ -111,16 +102,12 @@ type outcome =
   | Expired of { stage : string; batch_id : int; batch_size : int }
   | Failed of { exn : string; backtrace : string; batch_id : int; batch_size : int }
 
-(* Raised by the mega-batch's stage check; never escapes [run]. *)
-exception Batch_expired of string
-
 let next_batch_id = Atomic.make 1
 
 let batches_c = Obs.Metrics.counter "batcher.batches"
 let members_c = Obs.Metrics.counter "batcher.members"
 let evicted_c = Obs.Metrics.counter "batcher.evicted"
 let expired_scatter_c = Obs.Metrics.counter "batcher.expired_at_scatter"
-let degraded_c = Obs.Metrics.counter "frontend.degraded"
 let actual_c = Obs.Metrics.counter "batcher.elems_actual"
 let padded_c = Obs.Metrics.counter "batcher.elems_padded"
 let naive_c = Obs.Metrics.counter "batcher.elems_naive"
@@ -160,7 +147,7 @@ let member_response (resp : Server.response) ~(first : bool) ~(share : float)
     checksum;
   }
 
-let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
+let run (cfg : config) (srv : Server.t) (w : Workload.t)
     (members : member array) : outcome array =
   let bd =
     match w.Workload.batching with
@@ -172,13 +159,13 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
   let n = Array.length members in
   let out = Array.make n (Expired { stage = "batch"; batch_id = 0; batch_size = 1 }) in
   let t_form = now_us () in
-  (* deadline headroom: a member whose remaining budget cannot survive the
-     batch is answered now instead of dragging the mega-batch down *)
+  (* a member already past its deadline is answered now instead of
+     joining a mega-batch *)
   let live =
     Array.of_list
       (List.filter
          (fun i ->
-           let alive = members.(i).m_deadline_us -. cfg.headroom_us >= t_form in
+           let alive = members.(i).m_deadline_us >= t_form in
            if not alive then begin
              Obs.Metrics.incr evicted_c;
              out.(i) <- Expired { stage = "batch"; batch_id = 0; batch_size = 1 }
@@ -225,10 +212,7 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
         let max_deadline =
           Array.fold_left (fun acc m -> Float.max acc m.m_deadline_us) neg_infinity ms
         in
-        let stage_check stage =
-          if now_us () > max_deadline then raise (Batch_expired stage)
-        in
-        let handle server =
+        match
           Obs.Span.with_span
             ~attrs:
               [
@@ -237,15 +221,7 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
                 ("batch_size", Obs.Trace_sink.Int size);
               ]
             "batch.run"
-            (fun () -> Server.handle ~stage_check ~fill server w mega)
-        in
-        match
-          try handle srv
-          with Runtime.Engine.Error _ when Option.is_some fallback ->
-            (* graceful degradation, same as the unbatched path: retry
-               the whole mega-batch once on the interpreter twin *)
-            Obs.Metrics.incr degraded_c;
-            handle (Option.get fallback)
+            (fun () -> Server.handle ~deadline_us:max_deadline ~fill srv w mega)
         with
         | resp ->
             let outs =
@@ -298,7 +274,7 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
                           in
                           out.(i) <- Served { resp = r; batch_id; batch_size = size })))
               idxs
-        | exception Batch_expired stage ->
+        | exception Server.Deadline_exceeded stage ->
             Array.iter
               (fun i -> out.(i) <- Expired { stage; batch_id; batch_size = size })
               idxs

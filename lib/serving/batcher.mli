@@ -35,13 +35,10 @@ type config = {
   max_wait_us : float;
       (** how long the front-end holds a forming window open for more
           requests once it has one *)
-  headroom_us : float;
-      (** a member whose deadline is closer than this at formation is
-          evicted ([Expired] with stage ["batch"]) instead of batched *)
   tile : int;  (** row-length alignment quantum (>= 1) *)
 }
 
-(** [{max_batch = 8; max_wait_us = 2000.0; headroom_us = 0.0; tile = 4}] *)
+(** [{max_batch = 8; max_wait_us = 2000.0; tile = 4}] *)
 val default_config : config
 
 (** The pure bin-packer, exposed for property fuzzing. *)
@@ -55,9 +52,6 @@ module Pack : sig
         (** indices into the pack input, in mega-batch order (weight
             descending — the length-signature bucketing) *)
     tiles : int;  (** total tile-aligned weight of the bin *)
-    cuts : int array;
-        (** advisory parallel-chunk cut points over [members], balanced
-            on the tile weights via {!Runtime.Engine.balance_chunks} *)
   }
 
   type plan = {
@@ -99,11 +93,9 @@ type outcome =
 
 (** Form mega-batches from one drained window of a single workload and
     serve them.  Returns one outcome per member, in input order.  Members
-    past their deadline (minus [headroom_us]) are evicted before packing.
-    [?fallback] enables the same graceful degradation as the unbatched
-    front-end path: a {!Runtime.Engine.Error} from the compiled engine
-    retries the mega-batch once on the fallback server.  Raises
-    [Invalid_argument] if the workload has no {!Workload.batching}
-    descriptor. *)
-val run :
-  ?fallback:Server.t -> config -> Server.t -> Workload.t -> member array -> outcome array
+    already past their deadline at formation are evicted before packing.
+    Each mega-batch is one {!Server.handle} call under its most generous
+    member deadline, so it degrades to the interpreter exactly as a solo
+    request does.  Raises [Invalid_argument] if the workload has no
+    {!Workload.batching} descriptor. *)
+val run : config -> Server.t -> Workload.t -> member array -> outcome array

@@ -12,10 +12,6 @@ let outcome_label = function
   | Deadline_exceeded _ -> "deadline_exceeded"
   | Error _ -> "error"
 
-(* Raised by the stage-check hook inside [Server.handle]; never escapes
-   this module. *)
-exception Expired of string
-
 type ticket = {
   tk_id : int;  (** the request id: spans carry it as trace context *)
   mutable outcome : outcome option;
@@ -34,22 +30,21 @@ type request = {
 
 type t = {
   srv : Server.t;
-  fallback : Server.t option;  (** [`Interp] twin of a [`Compiled] server *)
   capacity : int;
   default_deadline_ns : float;  (** relative; [infinity] = none *)
-  batching : Batcher.config option;  (** [Some] routes workers through the batch-former *)
+  batching : (Batcher.config * (Unix.file_descr * Unix.file_descr)) option;
+      (** [Some] routes workers through the batch-former, with a
+          self-pipe the submit path writes after signalling [not_empty].
+          The stdlib [Condition] has no timed wait, so an open batching
+          window sleeps in [Unix.select] on the read end with the
+          window's remaining budget as the timeout — a submit wakes it
+          immediately, an idle server blocks instead of burning a core,
+          and formation latency does not quantise to a poll interval.
+          Unbatched front ends own no pipe: their windows never wait. *)
   q : request Queue.t;
   lock : Mutex.t;
   not_empty : Condition.t;
   not_full : Condition.t;
-  wake : (Unix.file_descr * Unix.file_descr) option;
-      (** batching only: a self-pipe the submit path writes after
-          signalling [not_empty].  The stdlib [Condition] has no timed
-          wait, so an open batching window sleeps in [Unix.select] on the
-          read end with the window's remaining budget as the timeout — a
-          submit wakes it immediately, an idle server blocks instead of
-          burning a core, and formation latency no longer quantises to a
-          poll interval. *)
   mutable closing : bool;
   mutable workers : unit Domain.t list;
 }
@@ -59,10 +54,10 @@ let now_us = Obs.Trace_sink.now_us
 (* Wake any batching window blocked in [Unix.select].  Both ends are
    non-blocking: a full pipe already guarantees pending wakeups, so
    EAGAIN is dropped. *)
-let wake_signal (fe_wake : (Unix.file_descr * Unix.file_descr) option) =
-  match fe_wake with
+let wake_signal (fe : t) =
+  match fe.batching with
   | None -> ()
-  | Some (_, w) -> (
+  | Some (_, (_, w)) -> (
       (* best-effort: EAGAIN = pipe full = wakeups already pending;
          EBADF = already shut down *)
       try ignore (Unix.write w (Bytes.make 1 '\001') 0 1) with Unix.Unix_error _ -> ())
@@ -72,25 +67,21 @@ let wake_signal (fe_wake : (Unix.file_descr * Unix.file_descr) option) =
    race to drain it just sees EAGAIN and re-checks the queue — spurious
    wakeups are harmless, missed ones impossible (the byte is written
    after the request is enqueued under the lock). *)
-let wake_wait (fe_wake : (Unix.file_descr * Unix.file_descr) option) ~(timeout_us : float) =
-  match fe_wake with
-  | None -> Unix.sleepf (Float.min timeout_us 200.0 /. 1e6)
-  | Some (r, _) -> (
-      let timeout_s = Float.max 0.0 (timeout_us /. 1e6) in
-      match Unix.select [ r ] [] [] timeout_s with
-      | [], _, _ -> ()
-      | _ -> (
-          let buf = Bytes.create 64 in
-          try ignore (Unix.read r buf 0 64)
-          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+let wake_wait ((r, _) : Unix.file_descr * Unix.file_descr) ~(timeout_us : float) =
+  let timeout_s = Float.max 0.0 (timeout_us /. 1e6) in
+  match Unix.select [ r ] [] [] timeout_s with
+  | [], _, _ -> ()
+  | _ -> (
+      let buf = Bytes.create 64 in
+      try ignore (Unix.read r buf 0 64)
+      with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 (* module-level handles: metric lookup is off the per-request path *)
 let accepted_c = Obs.Metrics.counter "frontend.accepted"
 let rejected_c = Obs.Metrics.counter "frontend.rejected"
 let served_c = Obs.Metrics.counter "frontend.served"
 let deadline_c = Obs.Metrics.counter "frontend.deadline_exceeded"
-let degraded_c = Obs.Metrics.counter "frontend.degraded"
 let errors_c = Obs.Metrics.counter "frontend.errors"
 let queue_wait_h = Obs.Metrics.histogram "frontend.queue_wait_us"
 let queue_depth_g = Obs.Metrics.gauge "frontend.queue_depth"
@@ -130,18 +121,6 @@ let peek (tk : ticket) : outcome option =
 
 (* ------------------------------------------------------------------ *)
 (* Worker side *)
-
-let handle_with_deadline srv (r : request) : outcome =
-  let stage_check stage = if now_us () > r.deadline_us then raise (Expired stage) in
-  match Server.handle ~stage_check srv r.workload r.lens with
-  | resp -> Response resp
-  | exception Expired stage ->
-      Obs.Metrics.incr deadline_c;
-      Deadline_exceeded stage
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Obs.Metrics.incr errors_c;
-      Error { exn = Printexc.to_string e; backtrace }
 
 (* The request's flight-recorder entry: cache/stage detail from the
    response when it has one, outcome label alone otherwise. *)
@@ -185,16 +164,37 @@ let flight_of (r : request) ~(queue_wait_us : float) ?(batch_id = 0) ?(batch_siz
       }
   | Overloaded | Deadline_exceeded _ | Error _ -> base
 
+let of_batch_outcome = function
+  | Batcher.Served { resp; _ } -> Response resp
+  | Batcher.Expired { stage; _ } -> Deadline_exceeded stage
+  | Batcher.Failed { exn; backtrace; _ } -> Error { exn; backtrace }
+
+(* Every worker-side outcome ends here: counted, appended to the flight
+   ring (which a deadline miss or an error dumps, throttled and only when
+   armed), then handed to the waiting client. *)
+let finish (r : request) ~queue_wait_us ?batch_id ?batch_size (o : outcome) =
+  (match o with
+  | Response _ -> Obs.Metrics.incr served_c
+  | Deadline_exceeded _ -> Obs.Metrics.incr deadline_c
+  | Error _ -> Obs.Metrics.incr errors_c
+  | Overloaded -> ());
+  Obs.Flight.record (flight_of r ~queue_wait_us ?batch_id ?batch_size o);
+  (match o with
+  | Deadline_exceeded _ | Error _ -> ignore (Obs.Flight.auto_dump ~reason:(outcome_label o))
+  | Response _ | Overloaded -> ());
+  resolve r.ticket o
+
 (* Fault isolation: everything a request can throw is converted to a
    typed outcome here; nothing escapes into the worker loop, so a
    poisoned request can never take a worker domain (or a neighbour's
-   pending request) down with it.
+   pending request) down with it.  Stage deadlines and the compiled →
+   interpreter retry are [Server.handle]'s own.
 
    The whole handling runs under the request's trace context
    ([Span.with_request]): every span recorded below — including those
    inside [Server.handle] — carries [r.id], reassemblable into one
    admission-to-outcome chain by [Trace_sink.events_for]. *)
-let run_one (fe : t) (r : request) : outcome =
+let run_one (fe : t) (r : request) =
   Obs.Span.with_request r.id @@ fun () ->
   let queue_wait_us = now_us () -. r.submitted_us in
   Obs.Metrics.observe queue_wait_h queue_wait_us;
@@ -204,78 +204,38 @@ let run_one (fe : t) (r : request) : outcome =
       "frontend.request"
     @@ fun () ->
     let o =
-      if now_us () > r.deadline_us then begin
+      if now_us () > r.deadline_us then
         (* enforced at dequeue: a request that waited out its budget in
            the queue is answered without doing any work *)
-        Obs.Metrics.incr deadline_c;
         Deadline_exceeded "queue"
-      end
       else
-        let stage_check stage = if now_us () > r.deadline_us then raise (Expired stage) in
-        match Server.handle ~stage_check fe.srv r.workload r.lens with
-        | resp ->
-            Obs.Metrics.incr served_c;
-            Response resp
-        | exception Expired stage ->
-            Obs.Metrics.incr deadline_c;
-            Deadline_exceeded stage
-        | exception Runtime.Engine.Error _ when Option.is_some fe.fallback ->
-            (* graceful degradation: the compiled engine rejected the
-               kernel — retry once on the interpreter twin before giving
-               up *)
-            Obs.Metrics.incr degraded_c;
-            let o = handle_with_deadline (Option.get fe.fallback) r in
-            (match o with Response _ -> Obs.Metrics.incr served_c | _ -> ());
-            o
+        match Server.handle ~deadline_us:r.deadline_us fe.srv r.workload r.lens with
+        | resp -> Response resp
+        | exception Server.Deadline_exceeded stage -> Deadline_exceeded stage
         | exception e ->
             let backtrace = Printexc.get_backtrace () in
-            Obs.Metrics.incr errors_c;
             Error { exn = Printexc.to_string e; backtrace }
     in
     Obs.Span.add_attr "outcome" (Obs.Trace_sink.Str (outcome_label o));
     o
   in
-  Obs.Flight.record (flight_of r ~queue_wait_us o);
-  (match o with
-  | Deadline_exceeded _ | Error _ ->
-      (* post-mortem: dump the ring (throttled, and only when armed) *)
-      ignore (Obs.Flight.auto_dump ~reason:(outcome_label o))
-  | Response _ | Overloaded -> ());
-  o
+  finish r ~queue_wait_us o
 
-let rec worker_loop (fe : t) =
-  Mutex.lock fe.lock;
-  let rec take () =
-    if not (Queue.is_empty fe.q) then begin
-      let r = Queue.pop fe.q in
-      Obs.Metrics.set queue_depth_g (Queue.length fe.q);
-      Condition.signal fe.not_full;
-      Some r
-    end
-    else if fe.closing then None
-    else begin
-      Condition.wait fe.not_empty fe.lock;
-      take ()
-    end
-  in
-  let req = take () in
-  Mutex.unlock fe.lock;
-  match req with
-  | None -> () (* closing and drained: the worker retires *)
-  | Some r ->
-      resolve r.ticket (run_one fe r);
-      worker_loop fe
+(* Called under [fe.lock] after popping: publish the depth and wake every
+   submitter blocked on a full queue. *)
+let slots_freed (fe : t) =
+  Obs.Metrics.set queue_depth_g (Queue.length fe.q);
+  Condition.broadcast fe.not_full
 
-(* ------------------------------------------------------------------ *)
-(* Batched worker side *)
-
-(* Drain one batching window: block for the first request, then hold the
-   window open — taking whatever else arrives — until it has [max_batch]
-   requests or [max_wait_us] has passed.  The open window sleeps on the
-   wake pipe with the remaining budget as the select timeout (see [wake]);
-   every submit writes the pipe, so arrivals cut the wait short instead
-   of landing between polls. *)
-let drain_window (fe : t) (cfg : Batcher.config) : request list option =
+(* Drain one window: block for the first request; an unbatched front end
+   stops there.  A batching one holds the window open — taking whatever
+   else arrives — until it has [max_batch] requests or [max_wait_us] has
+   passed, sleeping on the wake pipe with the remaining budget as the
+   select timeout, so arrivals cut the wait short instead of landing
+   between polls.  The slots it has taken are freed before every sleep,
+   not only once the window closes: a submitter blocked on a full queue
+   must be able to refill it while the window is open. *)
+let drain_window (fe : t) : request list option =
   Mutex.lock fe.lock;
   let rec first () =
     if not (Queue.is_empty fe.q) then Some (Queue.pop fe.q)
@@ -285,33 +245,37 @@ let drain_window (fe : t) (cfg : Batcher.config) : request list option =
       first ()
     end
   in
-  match first () with
-  | None ->
-      Mutex.unlock fe.lock;
-      None
-  | Some r0 ->
-      let acc = ref [ r0 ] and count = ref 1 in
-      let t0 = now_us () in
-      let rec fill () =
-        while !count < cfg.Batcher.max_batch && not (Queue.is_empty fe.q) do
-          acc := Queue.pop fe.q :: !acc;
-          incr count
-        done;
-        if !count < cfg.Batcher.max_batch && not fe.closing then begin
-          let remaining_us = cfg.Batcher.max_wait_us -. (now_us () -. t0) in
-          if remaining_us > 0.0 then begin
-            Mutex.unlock fe.lock;
-            wake_wait fe.wake ~timeout_us:remaining_us;
-            Mutex.lock fe.lock;
-            fill ()
-          end
-        end
-      in
-      fill ();
-      Obs.Metrics.set queue_depth_g (Queue.length fe.q);
-      Condition.broadcast fe.not_full;
-      Mutex.unlock fe.lock;
-      Some (List.rev !acc)
+  let window =
+    Option.map
+      (fun r0 ->
+        let acc = ref [ r0 ] in
+        (match fe.batching with
+        | None -> ()
+        | Some (cfg, wake) ->
+            let count = ref 1 and t0 = now_us () in
+            let rec fill () =
+              while !count < cfg.Batcher.max_batch && not (Queue.is_empty fe.q) do
+                acc := Queue.pop fe.q :: !acc;
+                incr count
+              done;
+              if !count < cfg.Batcher.max_batch && not fe.closing then begin
+                let remaining_us = cfg.Batcher.max_wait_us -. (now_us () -. t0) in
+                if remaining_us > 0.0 then begin
+                  slots_freed fe;
+                  Mutex.unlock fe.lock;
+                  wake_wait wake ~timeout_us:remaining_us;
+                  Mutex.lock fe.lock;
+                  fill ()
+                end
+              end
+            in
+            fill ());
+        slots_freed fe;
+        List.rev !acc)
+      (first ())
+  in
+  Mutex.unlock fe.lock;
+  window
 
 (* Serve one window's worth of same-workload requests through the
    batch-former and resolve every ticket from the scattered outcomes. *)
@@ -324,11 +288,10 @@ let run_batched (fe : t) (cfg : Batcher.config) (w : Workload.t) (rs : request l
       rs
   in
   let outcomes =
-    try Batcher.run ?fallback:fe.fallback cfg fe.srv w members
+    try Batcher.run cfg fe.srv w members
     with e ->
       (* forming itself failed: fail every member; the worker survives *)
       let backtrace = Printexc.get_backtrace () in
-      Obs.Metrics.incr errors_c;
       Array.map
         (fun _ ->
           Batcher.Failed
@@ -340,30 +303,20 @@ let run_batched (fe : t) (cfg : Batcher.config) (w : Workload.t) (rs : request l
       let r = rs.(i) in
       let queue_wait_us = t_deq -. r.submitted_us in
       Obs.Metrics.observe queue_wait_h queue_wait_us;
-      let o, batch_id, batch_size =
-        match bo with
-        | Batcher.Served { resp; batch_id; batch_size } ->
-            Obs.Metrics.incr served_c;
-            (Response resp, batch_id, batch_size)
-        | Batcher.Expired { stage; batch_id; batch_size } ->
-            Obs.Metrics.incr deadline_c;
-            (Deadline_exceeded stage, batch_id, batch_size)
-        | Batcher.Failed { exn; backtrace; batch_id; batch_size } ->
-            Obs.Metrics.incr errors_c;
-            (Error { exn; backtrace }, batch_id, batch_size)
+      let ( Batcher.Served { batch_id; batch_size; _ }
+          | Batcher.Expired { batch_id; batch_size; _ }
+          | Batcher.Failed { batch_id; batch_size; _ } ) =
+        bo
       in
-      Obs.Flight.record (flight_of r ~queue_wait_us ~batch_id ~batch_size o);
-      (match o with
-      | Deadline_exceeded _ | Error _ ->
-          ignore (Obs.Flight.auto_dump ~reason:(outcome_label o))
-      | Response _ | Overloaded -> ());
-      resolve r.ticket o)
+      finish r ~queue_wait_us ~batch_id ~batch_size (of_batch_outcome bo))
     outcomes
 
-(* A drained window may mix workloads; batching groups by workload name
-   (the stream drivers use one adapter instance per name), and workloads
-   without a batching descriptor fall back to the one-request path. *)
-let serve_window (fe : t) (cfg : Batcher.config) (reqs : request list) =
+(* A drained window may mix workloads; it is grouped by workload name
+   ([Stream] and bench-stream use one adapter instance per name).  A
+   group goes through the batch-former only when the front end batches
+   and the workload has a batching descriptor; otherwise its requests are
+   served one at a time. *)
+let serve_window (fe : t) (reqs : request list) =
   let groups : (string, request list ref) Hashtbl.t = Hashtbl.create 4 in
   let order = ref [] in
   List.iter
@@ -379,17 +332,17 @@ let serve_window (fe : t) (cfg : Batcher.config) (reqs : request list) =
     (fun key ->
       let rs = List.rev !(Hashtbl.find groups key) in
       let w = (List.hd rs).workload in
-      match w.Workload.batching with
-      | None -> List.iter (fun r -> resolve r.ticket (run_one fe r)) rs
-      | Some _ -> run_batched fe cfg w rs)
+      match (fe.batching, w.Workload.batching) with
+      | Some (cfg, _), Some _ -> run_batched fe cfg w rs
+      | _ -> List.iter (run_one fe) rs)
     (List.rev !order)
 
-let rec batch_worker_loop (fe : t) (cfg : Batcher.config) =
-  match drain_window fe cfg with
+let rec run_worker (fe : t) =
+  match drain_window fe with
   | None -> () (* closing and drained: the worker retires *)
   | Some reqs ->
-      serve_window fe cfg reqs;
-      batch_worker_loop fe cfg
+      serve_window fe reqs;
+      run_worker fe
 
 (* ------------------------------------------------------------------ *)
 (* Client side *)
@@ -399,24 +352,18 @@ let create ?(domains = 4) ?(capacity = 64) ?deadline_ns ?batching (srv : Server.
   if capacity < 1 then invalid_arg "Frontend.create: capacity must be >= 1";
   (* outcomes carry backtraces; recording costs nothing on the happy path *)
   Printexc.record_backtrace true;
-  let fallback =
-    match Server.engine srv with
-    | `Compiled -> Some (Server.with_engine srv `Interp)
-    | `Interp -> None
-  in
-  let wake =
-    match batching with
-    | None -> None
-    | Some _ ->
+  let batching =
+    Option.map
+      (fun cfg ->
         let r, w = Unix.pipe () in
         Unix.set_nonblock r;
         Unix.set_nonblock w;
-        Some (r, w)
+        (cfg, (r, w)))
+      batching
   in
   let fe =
     {
       srv;
-      fallback;
       capacity;
       default_deadline_ns = Option.value deadline_ns ~default:infinity;
       batching;
@@ -424,17 +371,11 @@ let create ?(domains = 4) ?(capacity = 64) ?deadline_ns ?batching (srv : Server.
       lock = Mutex.create ();
       not_empty = Condition.create ();
       not_full = Condition.create ();
-      wake;
       closing = false;
       workers = [];
     }
   in
-  let loop =
-    match batching with
-    | None -> fun () -> worker_loop fe
-    | Some cfg -> fun () -> batch_worker_loop fe cfg
-  in
-  fe.workers <- List.init domains (fun _ -> Domain.spawn loop);
+  fe.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> run_worker fe));
   fe
 
 let deadline_of fe deadline_ns submitted_us =
@@ -470,7 +411,7 @@ let enqueue ~wait_for_space ?deadline_ns (fe : t) (w : Workload.t) (lens : int a
     Condition.signal fe.not_empty
   end;
   Mutex.unlock fe.lock;
-  if admitted then wake_signal fe.wake;
+  if admitted then wake_signal fe;
   Obs.Span.add_attr "admitted" (Obs.Trace_sink.Str (if admitted then "yes" else "no"));
   if admitted then Obs.Metrics.incr accepted_c
   else begin
@@ -495,12 +436,12 @@ let shutdown (fe : t) =
   Condition.broadcast fe.not_empty;
   Condition.broadcast fe.not_full;
   Mutex.unlock fe.lock;
-  wake_signal fe.wake;
+  wake_signal fe;
   List.iter Domain.join fe.workers;
   fe.workers <- [];
-  match fe.wake with
+  match fe.batching with
   | None -> ()
-  | Some (r, w) ->
+  | Some (_, (r, w)) ->
       (try Unix.close r with Unix.Unix_error _ -> ());
       (try Unix.close w with Unix.Unix_error _ -> ())
 

@@ -18,25 +18,24 @@
     A request may carry a deadline (relative, in nanoseconds, fixed at
     submission).  It is checked when the request is dequeued — a request
     that waited out its budget in the queue is answered
-    [Deadline_exceeded "queue"] without doing any work — and again
-    between the pipeline stages of {!Server.handle} ("compile",
-    "prelude", "launch", "execute", via its [?stage_check] hook), so an
-    expired request stops at the next stage boundary rather than running
-    to completion.  Stages are not interrupted mid-flight; the stage
-    name in the outcome says how far the request got.  Counted in
-    [frontend.deadline_exceeded].
+    [Deadline_exceeded "queue"] without doing any work — and is then
+    handed to {!Server.handle} as its [?deadline_us], which stops an
+    expired request at the next stage boundary ("compile", "prelude",
+    "launch", "execute") rather than running it to completion.  Stages
+    are not interrupted mid-flight; the stage name in the outcome says
+    how far the request got.  Counted in [frontend.deadline_exceeded].
 
     {2 Fault isolation and degradation}
 
     An exception escaping one request's workload is caught at the worker
     loop, converted into an {!Error} outcome carrying the exception text
     and backtrace, and counted in [frontend.errors] — it never kills the
-    worker domain, and later requests are served normally.  One failure
-    is special-cased: if a [`Compiled]-engine server raises
-    {!Runtime.Engine.Error} (the engine rejecting a kernel it cannot
-    compile), the request is retried {e once} on an [`Interp] twin of
-    the server (graceful degradation, counted in [frontend.degraded]);
-    only if that retry also fails does the client see an error.
+    worker domain, and later requests are served normally.  Graceful
+    degradation happens inside {!Server.handle}: a [`Compiled]-engine
+    server whose engine rejects a kernel ({!Runtime.Engine.Error})
+    retries the request — or the whole mega-batch — {e once} on the
+    interpreter (counted in [frontend.degraded]); only if that retry
+    also fails does the client see an error.
 
     Every submitted request resolves to exactly one outcome; {!shutdown}
     drains already-admitted requests before the workers exit.
@@ -72,10 +71,11 @@ type t
 (** [create srv] — spawn the worker pool.  [~domains] workers (default
     4, >= 1), queue bound [~capacity] (default 64, >= 1),
     [?deadline_ns] a default relative deadline applied to every request
-    that does not carry its own.  If [srv] runs the [`Compiled] engine,
-    an [`Interp] twin is created for degraded retries.
+    that does not carry its own.
 
-    [?batching] switches the workers to continuous batching: each worker
+    Every worker runs one loop: drain a window of requests, serve it.
+    Without [?batching] a window is exactly one request.  [?batching]
+    switches the workers to continuous batching: each worker
     drains a window of requests (up to [max_batch], holding the window
     open up to [max_wait_us] once the first request lands), groups it by
     workload, and serves each group through {!Batcher.run} as tile-packed
@@ -127,3 +127,8 @@ val shutdown : t -> unit
 val queue_length : t -> int
 
 val outcome_label : outcome -> string
+
+(** A {!Batcher.outcome} as the client sees it: [Served] is a
+    {!Response}, [Expired] a {!Deadline_exceeded}, [Failed] an
+    {!Error}. *)
+val of_batch_outcome : Batcher.outcome -> outcome

@@ -39,7 +39,10 @@ let create ?(compile_cache = true) ?(prelude_cache = true) ?(execute = true)
 let engine t = t.engine
 let opt_level t = t.opt
 let autotune_enabled t = t.autotune <> None
-let with_engine t engine = { t with engine }
+
+exception Deadline_exceeded of string
+
+let degraded_c = Obs.Metrics.counter "frontend.degraded"
 
 let reset_caches () =
   Lower.clear_memo ();
@@ -151,8 +154,8 @@ let execute ?(fill = default_fill) (srv : t) (job : Workload.job) (built : Prelu
   in
   (Runtime.Interp.stats env, out, stats)
 
-let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload.t)
-    (lens : int array) : response =
+let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array) :
+    response =
   Obs.Span.with_span
     ~attrs:[ ("workload", Obs.Trace_sink.Str w.Workload.name) ]
     "serve.request"
@@ -163,7 +166,9 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
      deltas, which double-count as soon as two requests overlap. *)
   let stages = ref [] in
   let staged name f =
-    stage_check name;
+    (match deadline_us with
+    | Some d when Obs.Trace_sink.now_us () > d -> raise (Deadline_exceeded name)
+    | _ -> ());
     let t0 = Obs.Trace_sink.now_us () in
     let v = f () in
     stages := (name, Obs.Trace_sink.now_us () -. t0) :: !stages;
@@ -436,3 +441,11 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     out;
     checksum;
   }
+
+(* Graceful degradation: a kernel the compiled engine rejects is served
+   once more on the interpreter, under the same deadline. *)
+let handle ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array) : response =
+  try handle_once ?deadline_us ?fill srv w lens
+  with Runtime.Engine.Error _ when srv.engine = `Compiled ->
+    Obs.Metrics.incr degraded_c;
+    handle_once ?deadline_us ?fill { srv with engine = `Interp } w lens

@@ -82,20 +82,26 @@ val engine : t -> Cora.Exec.engine
 (** Optimization level [~execute:true] requests run at. *)
 val opt_level : t -> Ir.Optimize.level
 
-(** [with_engine srv e] — the same server configuration with a different
-    execution engine (used by {!Frontend} to build the [`Interp]
-    fallback twin of a [`Compiled] server). *)
-val with_engine : t -> Cora.Exec.engine -> t
+(** Raised by {!handle} at the first stage boundary reached after its
+    [?deadline_us]; the payload is that stage's name. *)
+exception Deadline_exceeded of string
 
 (** Handle one request: workload + raggedness vector.
 
-    [?stage_check] is invoked with the stage name ("compile", "prelude",
-    "launch", "execute") immediately before each pipeline stage; raising
-    from it aborts the request between stages — the deadline-enforcement
-    hook of {!Frontend}.  Per-request compile hit/miss counts are
-    returned from the lowering calls themselves (scoped through
-    {!Cora.Lower.with_memo}), so they stay exact when requests run
-    concurrently on several domains.
+    [?deadline_us] (absolute, {!Obs.Trace_sink.now_us} clock) is checked
+    immediately before each pipeline stage ("compile", "prelude",
+    "launch", "execute"); once it has passed, the request stops there
+    with {!Deadline_exceeded}.  Stages are not interrupted mid-flight.
+    Without a deadline no clock is read.
+
+    A [`Compiled] server whose engine rejects a kernel
+    ({!Runtime.Engine.Error}) retries the request once on the
+    interpreter, under the same deadline, and counts it in
+    [frontend.degraded]; only a failure of that retry escapes.
+
+    Per-request compile hit/miss counts are returned from the lowering
+    calls themselves (scoped through {!Cora.Lower.with_memo}), so they
+    stay exact when requests run concurrently on several domains.
 
     [?fill] overrides {!default_fill} for input tensors (read but never
     written).  {!Serving.Batcher} uses it to fill a mega-batch's inputs
@@ -104,7 +110,7 @@ val with_engine : t -> Cora.Exec.engine -> t
     inside a mega-batch computes over bitwise the same inputs as a solo
     replay. *)
 val handle :
-  ?stage_check:(string -> unit) ->
+  ?deadline_us:float ->
   ?fill:(string -> int list -> float) ->
   t -> Workload.t -> int array -> response
 

@@ -102,14 +102,6 @@ let check_plan ~case ~tile ~max_batch (members : int array array) (p : P.plan) =
       (* mega-batch order is the weight-descending bucketing order *)
       for k = 1 to size - 1 do
         if wts.(k) > wts.(k - 1) then fail "bin %d members not weight-sorted" b
-      done;
-      (* advisory cuts: ascending from 0 to the member count *)
-      let cuts = bin.P.cuts in
-      let nc = Array.length cuts in
-      if nc < 2 then fail "bin %d has %d cuts" b nc;
-      if cuts.(0) <> 0 || cuts.(nc - 1) <> size then fail "bin %d cut endpoints" b;
-      for k = 1 to nc - 1 do
-        if cuts.(k) < cuts.(k - 1) then fail "bin %d cuts not ascending" b
       done)
     p.P.bins
 

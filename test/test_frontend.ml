@@ -12,7 +12,11 @@
    - fault isolation: a workload that raises produces an Error outcome
      carrying the exception text, and the worker domain survives it;
    - degradation: a compiled-engine failure is retried once on the
-     interpreter twin and counted in frontend.degraded. *)
+     interpreter and counted in frontend.degraded — for a solo request,
+     for a whole mega-batch, and for a direct [Server.handle];
+   - backpressure: an open batching window frees the slots it has taken
+     before it sleeps, so blocked submitters refill the queue and the
+     window fills instead of closing on its timeout. *)
 
 let base = Serving.Workload.fig1 ~batch:4 ~max_len:6 ()
 
@@ -184,6 +188,27 @@ let test_drain_window_wakeup () =
   ignore (get_response "lone request served" (Serving.Frontend.await (Serving.Frontend.submit fe2 base shape)));
   Serving.Frontend.shutdown fe2
 
+(* An open window must free the queue slots it has taken before it
+   sleeps: otherwise submitters blocked on a full queue sleep through the
+   whole [max_wait_us] and the stream trickles into small batches. *)
+let test_window_frees_slots () =
+  Serving.Server.reset_caches ();
+  let shape = [| 5; 3; 6; 2 |] in
+  let srv = Serving.Server.create () in
+  let batching =
+    { Serving.Batcher.default_config with max_batch = 8; max_wait_us = 300_000.0 }
+  in
+  let fe = Serving.Frontend.create ~domains:1 ~capacity:2 ~batching srv in
+  let batches = Obs.Metrics.counter "batcher.batches" in
+  let before = Obs.Metrics.value batches in
+  let tickets = List.init 8 (fun _ -> Serving.Frontend.submit_wait fe base shape) in
+  List.iter (fun t -> ignore (get_response "backpressured request" (Serving.Frontend.await t))) tickets;
+  Serving.Frontend.shutdown fe;
+  let formed = Obs.Metrics.value batches - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "8 backpressured requests fill the window (%d mega-batches)" formed)
+    true (formed <= 2)
+
 (* ---------------- admission control ---------------- *)
 
 let test_admission_overload () =
@@ -262,26 +287,33 @@ let test_fault_isolation () =
 
 (* ---------------- graceful degradation ---------------- *)
 
+(* [base] (batchable) whose first build raises the engine's own
+   rejection; the degraded retry's rebuild succeeds. *)
+let flaky_workload calls =
+  {
+    base with
+    Serving.Workload.name = "flaky";
+    build =
+      (fun lens ->
+        if Atomic.fetch_and_add calls 1 = 0 then
+          raise (Runtime.Engine.Error "synthetic kernel rejection")
+        else base.Serving.Workload.build lens);
+  }
+
+let degraded () = Obs.Metrics.value (Obs.Metrics.counter "frontend.degraded")
+
+(* ground truth: a cache-bypassed interpreter serving the request alone *)
+let interp_out lens =
+  let srv = Serving.Server.create ~compile_cache:false ~prelude_cache:false ~engine:`Interp () in
+  Option.get (Serving.Server.handle srv base lens).Serving.Server.out
+
 let test_degradation () =
   Serving.Server.reset_caches ();
   let calls = Atomic.make 0 in
-  (* first build raises the engine's own rejection; the degraded retry's
-     rebuild succeeds *)
-  let flaky =
-    {
-      base with
-      Serving.Workload.name = "flaky";
-      build =
-        (fun lens ->
-          if Atomic.fetch_and_add calls 1 = 0 then
-            raise (Runtime.Engine.Error "synthetic kernel rejection")
-          else base.Serving.Workload.build lens);
-    }
-  in
+  let flaky = flaky_workload calls in
   let shape = [| 5; 3; 6; 2 |] in
   let srv = Serving.Server.create ~engine:`Compiled () in
   let fe = Serving.Frontend.create ~domains:1 srv in
-  let degraded () = Obs.Metrics.value (Obs.Metrics.counter "frontend.degraded") in
   let before = degraded () in
   let r = get_response "flaky request" (Serving.Frontend.await (Serving.Frontend.submit fe flaky shape)) in
   Alcotest.(check int) "retried exactly once on the interp twin" (before + 1) (degraded ());
@@ -291,6 +323,46 @@ let test_degradation () =
   Alcotest.(check bool) "degraded output bit-identical to interp" true
     (bits_equal (Option.get direct.Serving.Server.out) (Option.get r.Serving.Server.out));
   Serving.Frontend.shutdown fe
+
+(* The mega-batch path degrades exactly like a solo request: one failed
+   compiled build, one interpreter retry of the whole mega-batch, and
+   every member served the interpreter's bytes. *)
+let test_batched_degradation () =
+  Serving.Server.reset_caches ();
+  let calls = Atomic.make 0 in
+  let flaky = flaky_workload calls in
+  let shapes = [ [| 5; 3; 6; 2 |]; [| 4; 2; 7 |]; [| 1; 6 |]; [| 6; 6; 1; 3 |] ] in
+  let srv = Serving.Server.create ~engine:`Compiled () in
+  let batching =
+    { Serving.Batcher.default_config with max_batch = 4; max_wait_us = 200_000.0 }
+  in
+  let fe = Serving.Frontend.create ~domains:1 ~batching srv in
+  let before = degraded () in
+  let tickets = List.map (Serving.Frontend.submit_wait fe flaky) shapes in
+  let outs = List.map Serving.Frontend.await tickets in
+  Serving.Frontend.shutdown fe;
+  Alcotest.(check int) "one degraded retry" (before + 1) (degraded ());
+  List.iteri
+    (fun i (lens, o) ->
+      let r = get_response (Printf.sprintf "member %d" i) o in
+      Alcotest.(check bool)
+        (Printf.sprintf "member %d: degraded output bit-identical to interp" i)
+        true
+        (bits_equal (interp_out lens) (Option.get r.Serving.Server.out)))
+    (List.combine shapes outs)
+
+(* A direct [Server.handle] on a compiled server degrades too: callers
+   without a front end ([Stream.replay], serial bench-stream) get a
+   response, not the engine's exception. *)
+let test_direct_degradation () =
+  Serving.Server.reset_caches ();
+  let flaky = flaky_workload (Atomic.make 0) in
+  let shape = [| 5; 3; 6; 2 |] in
+  let before = degraded () in
+  let r = Serving.Server.handle (Serving.Server.create ~engine:`Compiled ()) flaky shape in
+  Alcotest.(check int) "one degraded retry" (before + 1) (degraded ());
+  Alcotest.(check bool) "degraded output bit-identical to interp" true
+    (bits_equal (interp_out shape) (Option.get r.Serving.Server.out))
 
 let () =
   Alcotest.run "frontend"
@@ -305,6 +377,8 @@ let () =
             test_batched_deadline;
           Alcotest.test_case "drain window wakes on submit, times out alone" `Quick
             test_drain_window_wakeup;
+          Alcotest.test_case "open window frees slots for blocked submitters" `Quick
+            test_window_frees_slots;
         ] );
       ( "admission",
         [ Alcotest.test_case "full queue rejects typed, non-blocking" `Quick test_admission_overload ] );
@@ -314,5 +388,8 @@ let () =
         [
           Alcotest.test_case "exception becomes Error, worker survives" `Quick test_fault_isolation;
           Alcotest.test_case "compiled failure degrades to interp" `Quick test_degradation;
+          Alcotest.test_case "compiled mega-batch failure degrades" `Quick
+            test_batched_degradation;
+          Alcotest.test_case "direct Server.handle degrades" `Quick test_direct_degradation;
         ] );
     ]

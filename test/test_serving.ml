@@ -9,7 +9,10 @@
    - invalidation: mutating one sequence length must miss the prelude cache
      (fresh build) and still produce results identical to an uncached run;
    - determinism: regenerating a stream from the same seed replays to the
-     same checksums. *)
+     same checksums;
+   - deadlines: a [Server.handle ~deadline_us] already in the past stops
+     at the first stage and memoizes nothing, and a far-future one
+     changes no response field. *)
 
 let toy_dataset =
   { Workloads.Datasets.name = "toy"; min_len = 2; mean_len = 5; max_len = 9 }
@@ -228,6 +231,44 @@ let test_determinism () =
   let c2 = List.map (fun r -> r.Serving.Server.checksum) (Serving.Stream.replay srv w s2) in
   Alcotest.(check (list (float 0.0))) "same checksums" c1 c2
 
+(* ---------------- stage deadlines ---------------- *)
+
+let test_deadline_past () =
+  Serving.Server.reset_caches ();
+  let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
+  let srv = Serving.Server.create () in
+  let shape = [| 5; 3; 6; 2 |] in
+  (match Serving.Server.handle ~deadline_us:0.0 srv w shape with
+  | _ -> Alcotest.fail "a past deadline was served"
+  | exception Serving.Server.Deadline_exceeded stage ->
+      Alcotest.(check string) "stopped before the first stage" "compile" stage);
+  Alcotest.(check int) "no job-memo entry" 0 (Cora.Cache.size w.Serving.Workload.job_cache);
+  ignore (Serving.Server.handle srv w shape);
+  Alcotest.(check int) "an undeadlined serve memoizes" 1
+    (Cora.Cache.size w.Serving.Workload.job_cache)
+
+(* Every response field but the wall-clock stage durations, compared
+   bitwise. *)
+let fields (r : Serving.Server.response) =
+  Marshal.to_string
+    { r with Serving.Server.stages_us = List.map (fun (s, _) -> (s, 0.0)) r.Serving.Server.stages_us }
+    [ Marshal.No_sharing ]
+
+let test_deadline_far () =
+  let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
+  let shape = [| 5; 3; 6; 2 |] in
+  (* each serve starts from empty caches and arena, so hit/miss tallies
+     are comparable too *)
+  let serve ?deadline_us () =
+    Serving.Server.reset_caches ();
+    Runtime.Buffer.Arena.clear Runtime.Buffer.Arena.global;
+    Serving.Server.handle ?deadline_us (Serving.Server.create ()) w shape
+  in
+  let plain = serve () in
+  let far = serve ~deadline_us:(Obs.Trace_sink.now_us () +. 3.6e9) () in
+  Alcotest.(check bool) "far-future deadline: bitwise the same response" true
+    (String.equal (fields plain) (fields far))
+
 let () =
   let diff =
     List.map
@@ -246,5 +287,10 @@ let () =
           Alcotest.test_case "prelude cache cap respected" `Quick test_prelude_cache_cap;
           Alcotest.test_case "compile memo cap respected" `Quick test_compile_memo_cap;
           Alcotest.test_case "stream determinism" `Quick test_determinism;
+        ] );
+      ( "deadlines",
+        [
+          Alcotest.test_case "past deadline stops at compile" `Quick test_deadline_past;
+          Alcotest.test_case "far deadline changes nothing" `Quick test_deadline_far;
         ] );
     ]
