@@ -641,7 +641,7 @@ let autotune () =
                 Autotune.Tuner.tune ~device:gpu
                   ~key:
                     (Autotune.Tuner.key ~workload:w.Serving.Workload.name
-                       ~tables:(tn.Serving.Workload.tables_of lens))
+                       ~tables:(w.Serving.Workload.tables_of lens))
                   ~hand:(Serving.Workload.tuner_job (w.Serving.Workload.build lens))
                   ~candidates:(Serving.Workload.candidates tn lens) ())
           in
@@ -866,6 +866,26 @@ let time_one run =
   in
   measure 1
 
+(* Compiled-engine handles per optimization level for one kernel list:
+   the first run at a level (always an untimed correctness run) compiles,
+   every later run — the timed loops — reuses the closures. *)
+let handles_by_level kernels =
+  let tbl = Hashtbl.create 4 in
+  fun engine opt ->
+    match engine with
+    | `Interp -> None
+    | `Compiled ->
+        let opt = Option.value opt ~default:Ir.Optimize.O0 in
+        let h =
+          match Hashtbl.find_opt tbl opt with
+          | Some h -> h
+          | None ->
+              let h = Cora.Exec.handles ~opt kernels in
+              Hashtbl.add tbl opt h;
+              h
+        in
+        Some h
+
 (* Bench-scale vgemm and encoder runners, shared by the engine and opt
    experiments.  Each call executes the workload through [engine] at
    [opt] and returns the raw output buffer. *)
@@ -888,11 +908,12 @@ let make_engine_runners () =
         sin (float_of_int (List.nth idx 1 + List.nth idx 2)));
     Cora.Ragged.fill rb (fun idx ->
         cos (float_of_int (List.nth idx 1 - List.nth idx 2)));
+    let handles = handles_by_level [ t.Matmul.Vgemm.kernel ] in
     fun ~engine ?opt () ->
       let rc = Cora.Ragged.alloc t.Matmul.Vgemm.c lenv in
       let env, _ =
-        Cora.Exec.run_ragged ~engine ?opt ~lenv ~tensors:[ ra; rb; rc ]
-          [ t.Matmul.Vgemm.kernel ]
+        Cora.Exec.run_ragged ~engine ?opt ?handles:(handles engine opt) ~lenv
+          ~tensors:[ ra; rb; rc ] [ t.Matmul.Vgemm.kernel ]
       in
       (Array.copy (Runtime.Buffer.floats rc.Cora.Ragged.buf), env)
   in
@@ -927,6 +948,7 @@ let make_engine_runners () =
           (float_of_int
              ((List.nth idx 0 * 131) + (List.nth idx 1 * 17) + List.nth idx 2))
         *. 0.5);
+    let handles = handles_by_level (Transformer.Builder.kernels built) in
     fun ~engine ?opt () ->
       let data =
         List.map
@@ -940,7 +962,7 @@ let make_engine_runners () =
       in
       let out_r = List.nth data (List.length data - 1) in
       let env, _ =
-        Cora.Exec.run_ragged ~engine ?opt ~lenv
+        Cora.Exec.run_ragged ~engine ?opt ?handles:(handles engine opt) ~lenv
           ~tensors:(weights @ (in_r :: data))
           (Transformer.Builder.kernels built)
       in

@@ -86,9 +86,9 @@ cjson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_compiled.txt")
 test -n "$cjson" || { echo "ci: no BENCH_STREAM line (compiled)" >&2; exit 1; }
 echo "$cjson" | grep -q '"engine":"compiled"' \
   || { echo "ci: compiled run not labelled engine=compiled" >&2; exit 1; }
-entries=$(json_field "$cjson" engine_cache_entries)
+entries=$(json_field "$cjson" plan_entries)
 awk -v n="$entries" 'BEGIN { exit (n > 0) ? 0 : 1 }' \
-  || { echo "ci: engine cache has $entries entries, expected > 0" >&2; exit 1; }
+  || { echo "ci: plan memo has $entries entries, expected > 0" >&2; exit 1; }
 ops=$(json_field "$cjson" scalar_ops_per_sec)
 awk -v o="$ops" 'BEGIN { exit (o > 0) ? 0 : 1 }' \
   || { echo "ci: scalar_ops_per_sec=$ops, expected > 0" >&2; exit 1; }
@@ -290,7 +290,7 @@ awk '
 grep -q "cora_trace_dropped_total" "$tmpdir/metrics.om" \
   || { echo "ci: trace.dropped counter not exposed" >&2; exit 1; }
 # one occupancy gauge per serving cache family
-for c in compile_cache engine_cache prelude_cache autotune job_build_fig1; do
+for c in compile_cache plan prelude_cache autotune job_build_fig1; do
   grep -q "^cora_cache_${c}_entries " "$tmpdir/metrics.om" \
     || { echo "ci: cache gauge cora_cache_${c}_entries not exposed" >&2; exit 1; }
 done
@@ -436,6 +436,12 @@ dm=$(json_field "$dcjson" prelude_delta_model_ns)
 rm_=$(json_field "$dcjson" prelude_rebuild_model_ns)
 awk -v d="$dm" -v r="$rm_" 'BEGIN { exit (d > 0 && d <= 0.5 * r) ? 0 : 1 }' \
   || { echo "ci: delta prelude $dm ns not <= half of rebuild $rm_ ns" >&2; exit 1; }
+# Every step of the trace has the same row count, hence one structure:
+# plans are built once and reused, so the stream builds at most one per
+# worker domain (domains racing on the cold structure may each build it).
+pmiss=$(json_field "$dsjson" plan_misses)
+awk -v n="$pmiss" 'BEGIN { exit (n >= 1 && n <= 4) ? 0 : 1 }' \
+  || { echo "ci: plan_misses=$pmiss on the decode stream, expected 1..4 (one structure, 4 domains)" >&2; exit 1; }
 
 echo "== flight recorder dump on deadline miss" >&2
 # An impossible deadline forces every request into Deadline_exceeded; the

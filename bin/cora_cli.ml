@@ -402,9 +402,10 @@ let sample_runtime_gauges () =
   Obs.Exposition.sample_gc_gauges ();
   Obs.Metrics.set (Obs.Metrics.gauge "cache.compile_entries") (Cora.Lower.memo_size ());
   Obs.Metrics.set (Obs.Metrics.gauge "cache.prelude_entries") (Cora.Prelude_cache.size ());
-  Obs.Metrics.set (Obs.Metrics.gauge "cache.engine_entries") (Cora.Exec.engine_memo_size ());
+  Obs.Metrics.set (Obs.Metrics.gauge "cache.plan_entries")
+    (Serving.Workload.plan_stats ()).Cora.Cache.entries;
   (* per-cache hit/miss/eviction/occupancy gauges for every registered
-     bounded memo (compile, prelude, engine, tuner memo, per-workload job
+     bounded memo (compile, prelude, plan, tuner memo, per-workload job
      memos) *)
   List.iter
     (fun (name, s) ->
@@ -655,6 +656,7 @@ let bench_stream_cmd =
       Obs.Span.set_enabled true
     end;
     let t0_us = Obs.Trace_sink.now_us () in
+    let plan_misses0 = (Serving.Workload.plan_stats ()).Cora.Cache.misses in
     let outcomes, window_arena_miss, window_queue_depth =
       if not concurrent then begin
         (* serial: replay window by window, sampling the arena miss counter
@@ -748,6 +750,9 @@ let bench_stream_cmd =
       end
     in
     let wall_ns = (Obs.Trace_sink.now_us () -. t0_us) *. 1e3 in
+    (* plans built by the stream itself: one per structure, plus at most
+       one duplicate per domain racing on a cold structure *)
+    let plan_misses = (Serving.Workload.plan_stats ()).Cora.Cache.misses - plan_misses0 in
     Obs.Span.set_enabled false;
     (match trace_out with
     | Some path ->
@@ -989,7 +994,8 @@ let bench_stream_cmd =
           ("prelude_host_ns_on_hits", Obs.Json.Float host_ns_on_hits);
           ("compile_cache_entries", Obs.Json.Int (Cora.Lower.memo_size ()));
           ("prelude_cache_entries", Obs.Json.Int (Cora.Prelude_cache.size ()));
-          ("engine_cache_entries", Obs.Json.Int (Cora.Exec.engine_memo_size ()));
+          ("plan_entries", Obs.Json.Int (Serving.Workload.plan_stats ()).Cora.Cache.entries);
+          ("plan_misses", Obs.Json.Int plan_misses);
           ("autotune", Obs.Json.Bool autotune);
           ("tuned_requests", Obs.Json.Int tuned_requests);
           ("autotune_fallbacks", Obs.Json.Int tuner_totals.Autotune.Tuner.t_fallbacks);

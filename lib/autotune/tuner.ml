@@ -88,9 +88,6 @@ let prelude_of ?tables_sig (j : job) : Prelude.built =
   | Some tables_sig -> fst (Prelude_cache.build_cached ~tables_sig defs j.lenv)
   | None -> Prelude.build ~dedup_defs:true defs j.lenv
 
-let ctx_of ~device ?tables_sig (j : job) : Machine.Launch.ctx =
-  Machine.Launch.make_ctx ~prelude:(prelude_of ?tables_sig j) ~device ~lenv:j.lenv j.kernels
-
 (* Stage-1 analytic bound: one whole-body cost evaluation per kernel —
    total scalar work (flops + index arithmetic + loads + indirect
    prelude-table accesses + padding waste, all through the cost model's
@@ -98,8 +95,7 @@ let ctx_of ~device ?tables_sig (j : job) : Machine.Launch.ctx =
    loops are lane-normalised by the cost model itself; block-level
    distribution is deliberately ignored — that is what stage 2 adds. *)
 let bound_ns ~(device : Machine.Device.t) ?tables_sig (j : job) : float =
-  let ctx = ctx_of ~device ?tables_sig j in
-  let env = Machine.Launch.cost_env ctx in
+  let ufun = Machine.Launch.ufuns j.lenv (prelude_of ?tables_sig j) in
   List.fold_left
     (fun acc (k : Lower.kernel) ->
       let params =
@@ -107,7 +103,7 @@ let bound_ns ~(device : Machine.Device.t) ?tables_sig (j : job) : float =
         | Schedule.Compute_bound -> Machine.Device.cost_params device
         | Schedule.Memory_bound -> { Runtime.Cost_model.lanes = 1; vec_width = 1 }
       in
-      let c = Runtime.Cost_model.compile params k.Lower.body env in
+      let c = Runtime.Cost_model.eval (Runtime.Cost_model.prepare params k.Lower.body) ~ufun in
       let ns =
         match k.Lower.bound with
         | Schedule.Compute_bound -> Machine.Device.block_ns device ~eff:k.Lower.eff c
@@ -118,12 +114,12 @@ let bound_ns ~(device : Machine.Device.t) ?tables_sig (j : job) : float =
       acc +. ns)
     0.0 j.kernels
 
-(* Stage-2 exact simulation: the same per-launch grid enumeration, block
-   costing and makespan scheduling the serving pipeline reports as
-   [kernels_ns]. *)
+(* Stage-2 exact simulation: the launch model the serving pipeline prices
+   as [kernels_ns] (its prelude supplied, so only kernel time remains). *)
 let simulate_ns ~device ?tables_sig (j : job) : float =
-  let ctx = ctx_of ~device ?tables_sig j in
-  List.fold_left (fun acc l -> acc +. Machine.Launch.time ctx l) 0.0 j.launches
+  (Machine.Launch.price ~prelude:(prelude_of ?tables_sig j) ~lenv:j.lenv
+     (Machine.Launch.compile ~device j.launches))
+    .Machine.Launch.kernels_ns
 
 (* ---------------- the search ---------------- *)
 

@@ -7,7 +7,7 @@
     work including padding waste and indirect (prelude-table) accesses,
     weighted by the device's per-op nanoseconds but ignoring block-level
     distribution — and keeps only the [survivors] cheapest; stage 2 ranks
-    the survivors by exact simulated launch time ({!Machine.Launch.time}:
+    the survivors by exact simulated launch time ({!Machine.Launch.price}:
     grid enumeration, per-block costing, block-scheduler makespan), the
     same quantity {!Serving.Server}'s launch stage reports as
     [kernels_ns].  No floating-point execution happens during search.
@@ -71,9 +71,9 @@ val lookup : Cora.Sig.t -> decision option
     tunes (and the eventual tuned serve) reuse the build. *)
 val bound_ns : device:Machine.Device.t -> ?tables_sig:Cora.Sig.t -> job -> float
 
-(** Stage-2 exact simulation (ns): sum of {!Machine.Launch.time} over the
-    job's launches — identical to the [kernels_ns] the serving pipeline
-    would report for this job. *)
+(** Stage-2 exact simulation (ns): the [kernels_ns] of
+    {!Machine.Launch.price} over the job's launches — identical to what
+    the serving pipeline reports for this job. *)
 val simulate_ns : device:Machine.Device.t -> ?tables_sig:Cora.Sig.t -> job -> float
 
 (** Run the two-stage search and memoize the decision under [key].

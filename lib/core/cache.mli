@@ -1,8 +1,8 @@
 (** Bounded, domain-safe memo tables.
 
     The serving layer keeps five families of memo tables (the lowering
-    memo, the prelude cache, the compiled-kernel memo, the tuner memo and
-    one job memo per workload).  Under a concurrent front-end they are
+    memo, the prelude cache, the plan memo, the tuner memo and one job
+    memo per workload).  Under a concurrent front-end they are
     touched from several worker domains at once, and under a long-lived
     request stream an unbounded table is a memory leak — a steady drip
     of never-repeating batch shapes grows it forever.  This module is

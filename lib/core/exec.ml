@@ -8,9 +8,9 @@
     - [`Interp] — the tree-walking reference interpreter ({!Runtime.Interp}),
       ground truth for the test suite;
     - [`Compiled] — the closure-compiling engine ({!Runtime.Engine}):
-      kernels are compiled once per structural signature (a {!Sig}-keyed
-      memo, like the lowering memo) and re-bound to fresh buffers and
-      prelude tables per request.  [Parallel]-bound loops run on one
+      kernels are compiled per call, or once per {!handles} value (a
+      serving plan holds one) and re-bound to fresh buffers and prelude
+      tables per request.  [Parallel]-bound loops run on one
       persistent domain pool spawned per [run].
 
     Both engines maintain identical statistics counters, so the returned
@@ -27,70 +27,47 @@ type engine = [ `Interp | `Compiled ]
 let engine_name = function `Interp -> "interp" | `Compiled -> "compiled"
 
 (* ------------------------------------------------------------------ *)
-(* Sig-keyed compiled-kernel memo.  Compilation depends only on the
-   statement's structure — buffers, length functions and prelude tables
-   are bound per frame — so the alpha-invariant structural signature is a
-   sound cache key for the same reason it is one for lowering. *)
+(* Compiled-engine handles.  Compilation depends only on the statement's
+   structure — buffers, length functions and prelude tables are bound per
+   frame — so a caller that serves one kernel list many times (a serving
+   plan) compiles each kernel once and re-binds it per run.  Compiled
+   closures are immutable (all mutable state lives in per-run frames), so
+   handles are shared across domains; a kernel is compiled on first use,
+   and two domains racing on it both compile (benign: last write wins,
+   both closures are equivalent). *)
 
-(* keyed by (signature, optimization level): the same structure compiles
-   to different closure trees at different levels.  Shared across serving
-   worker domains — mutex-protected and bounded (LRU eviction counted as
-   engine_cache.evicted); compiled closures are immutable (all mutable
-   state lives in per-request frames), so cross-domain sharing is sound. *)
-let engine_memo : (Sig.t * int, Runtime.Engine.compiled) Cache.t =
-  Cache.create ~name:"engine_cache" ~capacity:256 ()
+type handles = {
+  h_opt : Ir.Optimize.level;
+  h_kernels : Lower.kernel array;
+  h_compiled : Runtime.Engine.compiled option Atomic.t array;
+}
 
-let clear_engine_memo () = Cache.clear engine_memo
-let engine_memo_size () = Cache.size engine_memo
+let handles ~opt (kernels : Lower.kernel list) =
+  let h_kernels = Array.of_list kernels in
+  { h_opt = opt; h_kernels; h_compiled = Array.map (fun _ -> Atomic.make None) h_kernels }
 
-let engine_hit_c = Obs.Metrics.counter "engine_cache.hit"
-let engine_miss_c = Obs.Metrics.counter "engine_cache.miss"
+let compile_kernel ~(opt : Ir.Optimize.level) (k : Lower.kernel) : Runtime.Engine.compiled =
+  Obs.Span.with_span
+    ~attrs:
+      [
+        ("kernel", Obs.Trace_sink.Str k.Lower.kname);
+        ("opt", Obs.Trace_sink.Str (Ir.Optimize.level_name opt));
+      ]
+    "engine.compile"
+    (fun () -> Runtime.Engine.compile ~opt k.Lower.body)
 
-(* Per-request engine-memo accounting, scoped in domain-local storage
-   exactly like [Lower.with_memo]: the global hit/miss counters
-   double-count as soon as two requests overlap, so callers that need a
-   per-request tally (the serving flight recorder) wrap their pipeline
-   in [with_engine_stats] and read the stats the scope collected. *)
-type engine_stats = { mutable hits : int; mutable misses : int }
-
-let engine_stats_key : engine_stats option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_engine_stats f =
-  let slot = Domain.DLS.get engine_stats_key in
-  let saved = !slot in
-  let stats = { hits = 0; misses = 0 } in
-  slot := Some stats;
-  let v = Fun.protect ~finally:(fun () -> slot := saved) f in
-  (v, stats)
-
-let tally_engine hit =
-  match !(Domain.DLS.get engine_stats_key) with
-  | Some s -> if hit then s.hits <- s.hits + 1 else s.misses <- s.misses + 1
-  | None -> ()
-
-let compile_cached ~(opt : Ir.Optimize.level) (k : Lower.kernel) : Runtime.Engine.compiled =
-  let key = (Sig.of_stmt k.Lower.body, Ir.Optimize.int_of_level opt) in
-  match Cache.find engine_memo key with
-  | Some c ->
-      Obs.Metrics.incr engine_hit_c;
-      tally_engine true;
-      c
+let handle h i =
+  match Atomic.get h.h_compiled.(i) with
+  | Some c -> (c, false)
   | None ->
-      Obs.Metrics.incr engine_miss_c;
-      tally_engine false;
-      let c =
-        Obs.Span.with_span
-          ~attrs:
-            [
-              ("kernel", Obs.Trace_sink.Str k.Lower.kname);
-              ("opt", Obs.Trace_sink.Str (Ir.Optimize.level_name opt));
-            ]
-          "engine.compile"
-          (fun () -> Runtime.Engine.compile ~opt k.Lower.body)
-      in
-      Cache.add engine_memo key c;
-      c
+      let c = compile_kernel ~opt:h.h_opt h.h_kernels.(i) in
+      Atomic.set h.h_compiled.(i) (Some c);
+      (c, true)
+
+let compile_handles h =
+  let fresh = ref 0 in
+  Array.iteri (fun i _ -> if snd (handle h i) then incr fresh) h.h_compiled;
+  !fresh
 
 (* Bind buffers, length functions and prelude tables to a frame, in the
    same order the interpreter path binds them (later bindings win). *)
@@ -105,7 +82,7 @@ let bind_frame ~(lenv : Lenfun.env) ~(built : Prelude.built) ~(bindings : bindin
     built.Prelude.tables
 
 let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(multicore = false) ?(domains = 4)
-    ?prelude ~(lenv : Lenfun.env) ~(bindings : binding list) (kernels : Lower.kernel list) :
+    ?prelude ?handles ~(lenv : Lenfun.env) ~(bindings : binding list) (kernels : Lower.kernel list) :
     Runtime.Interp.env * Prelude.built =
   Obs.Span.with_span
     ~attrs:
@@ -146,15 +123,23 @@ let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(multicore = false) ?(domai
         if multicore && domains > 1 then Some (Runtime.Engine.Pool.create ~domains ())
         else None
       in
+      let compiled =
+        match handles with
+        | Some h ->
+            if h.h_opt <> opt || Array.length h.h_kernels <> List.length kernels then
+              invalid_arg "Exec.run: handles compiled for another kernel list or level";
+            fun i _ -> fst (handle h i)
+        | None -> fun _ k -> compile_kernel ~opt k
+      in
       Fun.protect ~finally:(fun () -> Option.iter Runtime.Engine.Pool.shutdown pool)
       @@ fun () ->
-      List.iter
-        (fun (k : Lower.kernel) ->
+      List.iteri
+        (fun i (k : Lower.kernel) ->
           Obs.Span.with_span
             ~attrs:[ ("kernel", Obs.Trace_sink.Str k.Lower.kname) ]
             "exec.kernel"
           @@ fun () ->
-          let c = compile_cached ~opt k in
+          let c = compiled i k in
           let fr = Runtime.Engine.frame c in
           bind_frame ~lenv ~built ~bindings fr;
           Obs.Span.with_span "engine.run" (fun () -> Runtime.Engine.run ?pool fr);
@@ -176,8 +161,8 @@ let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(multicore = false) ?(domai
   (env, built)
 
 (** Convenience wrapper for ragged tensor values. *)
-let run_ragged ?engine ?opt ?multicore ?domains ?prelude ~(lenv : Lenfun.env)
+let run_ragged ?engine ?opt ?multicore ?domains ?prelude ?handles ~(lenv : Lenfun.env)
     ~(tensors : Ragged.t list) kernels =
-  run ?engine ?opt ?multicore ?domains ?prelude ~lenv
+  run ?engine ?opt ?multicore ?domains ?prelude ?handles ~lenv
     ~bindings:(List.map (fun (r : Ragged.t) -> (r.Ragged.tensor, r.Ragged.buf)) tensors)
     kernels

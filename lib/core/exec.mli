@@ -13,8 +13,23 @@ type binding = Tensor.t * Runtime.Buffer.t
 (** [`Interp] walks the tree through {!Runtime.Interp} (ground truth);
     [`Compiled] stages each kernel into slot-resolved closures through
     {!Runtime.Engine} — same results, same counters, interpretive overhead
-    gone.  Compiled kernels are memoized per structural signature. *)
+    gone.  A run compiles its kernels unless given {!handles}. *)
 type engine = [ `Interp | `Compiled ]
+
+(** Compiled-engine handles for one kernel list at one optimization
+    level: each kernel is compiled on its first use and reused by every
+    later run given these handles ([engine.compile] span per compile).
+    Compiled closures are immutable, so handles are shared across
+    domains; two domains racing on a cold kernel may both compile it
+    (benign).  A serving plan holds one per structure. *)
+type handles
+
+val handles : opt:Ir.Optimize.level -> Lower.kernel list -> handles
+
+(** Compile every kernel not yet compiled; returns how many were compiled
+    by this call (0 once the handles are warm).  Raises
+    {!Runtime.Engine.Error} if the engine rejects a kernel. *)
+val compile_handles : handles -> int
 
 (** Returns the interpreter environment (for statistics — identical
     counter semantics under both engines) and the prelude used (for
@@ -26,33 +41,17 @@ type engine = [ `Interp | `Compiled ]
     the build.  [?opt] (default [O0], compiled engine only) selects the
     {!Ir.Optimize} level — outputs stay bitwise-identical at every level;
     counter parity with the interpreter holds at [O0] only (see
-    {!Runtime.Engine}). *)
+    {!Runtime.Engine}).  [?handles] (compiled engine only) must have been
+    made from this very kernel list at this [opt] ([Invalid_argument]
+    otherwise); without them every kernel is compiled for this call. *)
 val run :
   ?engine:engine -> ?opt:Ir.Optimize.level -> ?multicore:bool -> ?domains:int ->
-  ?prelude:Prelude.built ->
+  ?prelude:Prelude.built -> ?handles:handles ->
   lenv:Lenfun.env -> bindings:binding list -> Lower.kernel list ->
   Runtime.Interp.env * Prelude.built
 
 val run_ragged :
   ?engine:engine -> ?opt:Ir.Optimize.level -> ?multicore:bool -> ?domains:int ->
-  ?prelude:Prelude.built ->
+  ?prelude:Prelude.built -> ?handles:handles ->
   lenv:Lenfun.env -> tensors:Ragged.t list -> Lower.kernel list ->
   Runtime.Interp.env * Prelude.built
-
-(** Per-request compiled-kernel-memo accounting.  [with_engine_stats f]
-    runs [f] with a fresh tally scoped to the calling domain (like
-    {!Lower.with_memo}): every memo probe made by [f] — and nothing made
-    by overlapping requests on other domains — is counted.  Nested
-    scopes shadow; the previous scope is restored on exit. *)
-type engine_stats = { mutable hits : int; mutable misses : int }
-
-val with_engine_stats : (unit -> 'a) -> 'a * engine_stats
-
-(** Clear the [(Sig, opt level)]-keyed compiled-kernel memo (paired with
-    {!Lower.clear_memo} by [Serving.Server.reset_caches]). *)
-val clear_engine_memo : unit -> unit
-
-(** Number of compiled kernels currently memoized.  The memo is shared
-    across serving worker domains: mutex-protected and bounded with
-    least-recently-used eviction ([engine_cache.evicted] counter). *)
-val engine_memo_size : unit -> int

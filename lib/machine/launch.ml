@@ -5,7 +5,9 @@ open Cora
     Glues compiler output to the machine model: builds the launch-time
     environment (length functions + prelude tables), enumerates the grid of
     thread blocks, costs each block with the memoised cost model, and runs
-    the block scheduler.  A launch of several kernels is a {e horizontal
+    the block scheduler.  {!compile} does the per-structure half once
+    (cost-model programs, parameters, histogram handles); {!price} the
+    per-call half.  A launch of several kernels is a {e horizontal
     fusion} (§4.1): their blocks share one grid and one launch overhead. *)
 
 type t = {
@@ -28,95 +30,84 @@ let hfused ?label (ks : Lower.kernel list) =
       | None -> String.concat "+" (List.map (fun (k : Lower.kernel) -> k.Lower.kname) ks));
   }
 
-(** Launch-time context shared by all kernels of a pipeline. *)
-type ctx = {
-  device : Device.t;
-  lenv : Lenfun.env;
-  built : Prelude.built;
+(* The cost model's view of the launch-time environment: the raw length
+   functions, overridden by same-named prelude tables. *)
+let ufuns (lenv : Lenfun.env) (built : Prelude.built) : string -> Runtime.Cost_model.ufun option =
+ fun name ->
+  match List.assoc_opt name built.Prelude.tables with
+  | Some (Prelude.Scalar n) -> Some { Runtime.Cost_model.call1 = (fun _ -> n); calln = (fun _ -> n) }
+  | Some (Prelude.Table a) ->
+      let call1 i =
+        if i >= 0 && i < Array.length a then a.(i)
+        else invalid_arg (Printf.sprintf "aux %s: index %d out of range" name i)
+      in
+      Some
+        {
+          Runtime.Cost_model.call1;
+          calln = (function [ i ] -> call1 i | _ -> invalid_arg ("aux " ^ name ^ " arity"));
+        }
+  | None ->
+      Option.map
+        (fun f ->
+          {
+            Runtime.Cost_model.call1 = f;
+            calln = (function [ i ] -> f i | _ -> invalid_arg ("lenfun " ^ name ^ " arity"));
+          })
+        (List.assoc_opt name lenv)
+
+(* One kernel's compiled cost model: its grid peeled and its shared block
+   body compiled once, with the parameters of its boundedness and the
+   handle of its block-cost histogram. *)
+type kmodel = {
+  kernel : Lower.kernel;
+  prog : Runtime.Cost_model.prog;
+  cost_h : Obs.Metrics.histogram;
 }
 
-let make_ctx ?prelude ~device ~lenv (kernels : Lower.kernel list) : ctx =
-  match prelude with
-  | Some built -> { device; lenv; built }
-  | None ->
-      let defs = List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) kernels in
-      { device; lenv; built = Prelude.build ~dedup_defs:true defs lenv }
+type model = {
+  device : Device.t;
+  launches : (t * kmodel list) list;
+}
 
-let cost_env (ctx : ctx) : Runtime.Cost_model.env =
-  let env = Runtime.Cost_model.env_create () in
-  List.iter
-    (fun (name, f) ->
-      Runtime.Cost_model.bind_ufun env name (function
-        | [ i ] -> f i
-        | _ -> invalid_arg ("lenfun " ^ name ^ " arity")))
-    ctx.lenv;
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Prelude.Scalar n -> Runtime.Cost_model.bind_ufun env name (fun _ -> n)
-      | Prelude.Table a ->
-          Runtime.Cost_model.bind_ufun env name (function
-            | [ i ] when i >= 0 && i < Array.length a -> a.(i)
-            | [ i ] -> invalid_arg (Printf.sprintf "aux %s: index %d out of range" name i)
-            | _ -> invalid_arg ("aux " ^ name ^ " arity")))
-    ctx.built.Prelude.tables;
-  env
+let compile ~(device : Device.t) (launches : t list) : model =
+  let kmodel (k : Lower.kernel) =
+    (* Compute-bound kernels are priced by lane-normalised operation
+       counts through the block scheduler; memory-bound kernels (softmax,
+       layernorm, layout changes) by raw traffic against the
+       per-processor share of the device bandwidth. *)
+    let params =
+      match k.Lower.bound with
+      | Schedule.Compute_bound -> Device.cost_params device
+      | Schedule.Memory_bound -> { Runtime.Cost_model.lanes = 1; vec_width = 1 }
+    in
+    {
+      kernel = k;
+      prog = Runtime.Cost_model.prepare ~grid_kind:device.Device.grid_kind params k.Lower.body;
+      cost_h = Obs.Metrics.histogram ("launch.block_cost_ns." ^ k.Lower.kname);
+    }
+  in
+  { device; launches = List.map (fun l -> (l, List.map kmodel l.kernels)) launches }
 
-(** Per-block (cost_ns, bytes) of one kernel under the context. *)
-let block_costs_bytes (ctx : ctx) (k : Lower.kernel) : (float * float) array =
-  let device = ctx.device in
-  let env = cost_env ctx in
-  let blocks =
-    Runtime.Cost_model.enumerate_blocks ~grid_kind:device.Device.grid_kind env k.Lower.body
-  in
-  (* Compute-bound kernels are priced by lane-normalised operation counts
-     through the block scheduler; memory-bound kernels (softmax, layernorm,
-     layout changes) by raw traffic against the per-processor share of the
-     device bandwidth. *)
-  let params =
-    match k.Lower.bound with
-    | Schedule.Compute_bound -> Device.cost_params device
-    | Schedule.Memory_bound -> { Runtime.Cost_model.lanes = 1; vec_width = 1 }
-  in
-  (* Blocks of the same kernel share (physically) the same body subtree:
-     compile it once so the cost model's memo tables are shared across all
-     blocks. *)
-  let compiled : (Ir.Stmt.t * Runtime.Cost_model.node) list ref = ref [] in
-  let node_for body =
-    match List.find_opt (fun (b, _) -> b == body) !compiled with
-    | Some (_, n) -> n
-    | None ->
-        let n = Runtime.Cost_model.compile params body in
-        compiled := (body, n) :: !compiled;
-        n
-  in
+(* Per-block cost (ns) of one kernel, in enumeration order. *)
+let block_costs ~(device : Device.t) ~ufun (km : kmodel) : float array =
+  let k = km.kernel in
   let bw_per_proc = device.Device.mem_bw_bytes_per_ns /. float_of_int device.Device.n_proc in
-  let cost_h = Obs.Metrics.histogram ("launch.block_cost_ns." ^ k.Lower.kname) in
-  let costs =
-    List.map
-      (fun (vars, body) ->
-        let benv = { env with Runtime.Cost_model.vars } in
-        let c = node_for body benv in
-        let bytes = Device.block_bytes c in
-        let ns =
-          match k.Lower.bound with
-          | Schedule.Compute_bound -> Device.block_ns device ~eff:k.Lower.eff c
-          | Schedule.Memory_bound -> bytes /. bw_per_proc /. k.Lower.eff
-        in
-        Obs.Metrics.observe cost_h ns;
-        (ns, bytes))
-      blocks
-  in
-  Array.of_list costs
+  let costs = ref [] in
+  Runtime.Cost_model.iter_blocks km.prog ~ufun (fun c ->
+      let ns =
+        match k.Lower.bound with
+        | Schedule.Compute_bound -> Device.block_ns device ~eff:k.Lower.eff c
+        | Schedule.Memory_bound -> Device.block_bytes c /. bw_per_proc /. k.Lower.eff
+      in
+      Obs.Metrics.observe km.cost_h ns;
+      costs := ns :: !costs);
+  Array.of_list (List.rev !costs)
 
-let block_costs ctx k = Array.map fst (block_costs_bytes ctx k)
-
-(** Wall time of one launch: makespan of all its blocks plus the launch
-    overhead.  Blocks of h-fused kernels are interleaved in issue order so
-    they genuinely execute concurrently. *)
-let time (ctx : ctx) (l : t) : float =
-  let device = ctx.device in
-  let all = List.map (fun k -> (block_costs_bytes ctx k, (k : Lower.kernel).remap)) l.kernels in
+(** Wall time of one launch (makespan of all its blocks plus the launch
+    overhead) and its block count.  Blocks of h-fused kernels are
+    interleaved in issue order so they genuinely execute concurrently. *)
+let time ~(device : Device.t) ~ufun (kms : kmodel list) : float * int =
+  let all = List.map (fun km -> (block_costs ~device ~ufun km, km.kernel.Lower.remap)) kms in
   let policy =
     if List.exists (fun (_, r) -> r = Schedule.Descending_work) all then Gpusim.Descending_work
     else Gpusim.Issue_order
@@ -125,9 +116,9 @@ let time (ctx : ctx) (l : t) : float =
      efficiency factor (not a raw-bytes floor) carries the memory-bound
      behaviour of compiled kernels; the analytic baselines, whose counts are
      raw totals, apply the bandwidth floor in {!Baselines.Analytic}. *)
-  let costs = Array.map fst (Array.concat (List.map fst all)) in
+  let costs = Array.concat (List.map fst all) in
   let compute_ns = Gpusim.makespan ~n_proc:device.Device.n_proc ~policy costs in
-  compute_ns +. device.Device.launch_ns
+  (compute_ns +. device.Device.launch_ns, Array.length costs)
 
 (** Timing summary of a full pipeline (Fig. 4's runtime half):
     prelude build on the host, host→device copy of the aux structures, then
@@ -153,12 +144,13 @@ let prelude_cost ~(device : Device.t) (built : Prelude.built) : float * float =
   in
   (host, copy)
 
-let pipeline ?engine ?opt ?prelude ~device ~lenv (launches : t list) : pipeline_time =
+let price ?engine ?opt ?prelude ~lenv (m : model) : pipeline_time =
+  let device = m.device in
   Obs.Span.with_span
     ~attrs:
       ([
          ("device", Obs.Trace_sink.Str device.Device.name);
-         ("launches", Obs.Trace_sink.Int (List.length launches));
+         ("launches", Obs.Trace_sink.Int (List.length m.launches));
        ]
       @ (* which execution engine (and optimization level) serves the
            request this model run prices — lets a trace correlate modelled
@@ -173,34 +165,37 @@ let pipeline ?engine ?opt ?prelude ~device ~lenv (launches : t list) : pipeline_
       | None -> [])
     "launch.pipeline"
   @@ fun () ->
-  let kernels = List.concat_map (fun l -> l.kernels) launches in
-  let ctx = make_ctx ?prelude ~device ~lenv kernels in
+  let built =
+    match prelude with
+    | Some built -> built
+    | None ->
+        let defs =
+          List.concat_map
+            (fun (l, _) -> List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) l.kernels)
+            m.launches
+        in
+        Prelude.build ~dedup_defs:true defs lenv
+  in
+  let ufun = ufuns lenv built in
   let per_launch =
     List.map
-      (fun l ->
+      (fun (l, kms) ->
         Obs.Span.with_span
           ~attrs:[ ("launch", Obs.Trace_sink.Str l.label) ]
           "launch"
           (fun () ->
-            let t = time ctx l in
-            Obs.Span.add_attr "blocks"
-              (Obs.Trace_sink.Int
-                 (List.fold_left
-                    (fun acc (k : Cora.Lower.kernel) ->
-                      acc
-                      + Obs.Metrics.count
-                          (Obs.Metrics.histogram ("launch.block_cost_ns." ^ k.Lower.kname)))
-                    0 l.kernels));
+            let t, blocks = time ~device ~ufun kms in
+            Obs.Span.add_attr "blocks" (Obs.Trace_sink.Int blocks);
             Obs.Span.add_attr "model_ns" (Obs.Trace_sink.Float t);
             (l.label, t)))
-      launches
+      m.launches
   in
   let kernels_ns = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 per_launch in
   (* A caller-supplied prelude was built (and copied) by an earlier request
      with the same raggedness signature: this pipeline does zero host work
      and moves zero aux bytes — the serving cache's whole point (§7.4). *)
   let prelude_host_ns, prelude_copy_ns =
-    match prelude with Some _ -> (0.0, 0.0) | None -> prelude_cost ~device ctx.built
+    match prelude with Some _ -> (0.0, 0.0) | None -> prelude_cost ~device built
   in
   (* makespan breakdown of the modelled pipeline, attached as attributes
      of the pipeline span *)
@@ -210,3 +205,6 @@ let pipeline ?engine ?opt ?prelude ~device ~lenv (launches : t list) : pipeline_
   Obs.Span.add_attr "total_ns"
     (Obs.Trace_sink.Float (kernels_ns +. prelude_host_ns +. prelude_copy_ns));
   { kernels_ns; per_launch; prelude_host_ns; prelude_copy_ns }
+
+let pipeline ?engine ?opt ?prelude ~device ~lenv (launches : t list) : pipeline_time =
+  price ?engine ?opt ?prelude ~lenv (compile ~device launches)

@@ -14,30 +14,19 @@ val single : Cora.Lower.kernel -> t
     Raises {!Cora.Hfusion.Illegal} on racy fusions. *)
 val hfused : ?label:string -> Cora.Lower.kernel list -> t
 
-(** Launch-time context shared by a pipeline's kernels. *)
-type ctx = {
-  device : Device.t;
-  lenv : Cora.Lenfun.env;
-  built : Cora.Prelude.built;
-}
+(** The cost model's view of a launch-time environment: the raw length
+    functions, overridden by same-named prelude tables. *)
+val ufuns : Cora.Lenfun.env -> Cora.Prelude.built -> string -> Runtime.Cost_model.ufun option
 
-(** [?prelude] supplies already-built aux structures (e.g. from
-    {!Cora.Prelude_cache}) instead of building them here. *)
-val make_ctx :
-  ?prelude:Cora.Prelude.built ->
-  device:Device.t -> lenv:Cora.Lenfun.env -> Cora.Lower.kernel list -> ctx
-val cost_env : ctx -> Runtime.Cost_model.env
+(** A compiled launch model: per kernel, the cost-model program (grid
+    peeled, shared block body compiled, variables resolved to slots), the
+    cost parameters of its boundedness and its
+    [launch.block_cost_ns.<kernel>] histogram handle.  Immutable — it
+    depends only on the kernels and the device, so one model prices every
+    request of the same structure, from any domain. *)
+type model
 
-(** Per-block (cost_ns, bytes).  Compute-bound kernels are priced by
-    lane-normalised operation counts; memory-bound ones by raw traffic
-    against the per-processor bandwidth share. *)
-val block_costs_bytes : ctx -> Cora.Lower.kernel -> (float * float) array
-
-val block_costs : ctx -> Cora.Lower.kernel -> float array
-
-(** Makespan of the launch's blocks plus the launch overhead; h-fused
-    kernels' blocks execute concurrently. *)
-val time : ctx -> t -> float
+val compile : device:Device.t -> t list -> model
 
 type pipeline_time = {
   kernels_ns : float;
@@ -51,13 +40,26 @@ val total_ns : pipeline_time -> float
 (** (host-build ns, host→device copy ns) of built aux structures. *)
 val prelude_cost : device:Device.t -> Cora.Prelude.built -> float * float
 
+(** [price ?prelude ~lenv m] — the per-call half of the model: resolve
+    the length functions and prelude tables, evaluate every block (loop
+    memos shared across the blocks of one kernel for this call only) and
+    schedule them.  Each launch runs under a [launch] span whose [blocks]
+    attribute is that launch's own block count.  With [?prelude] the
+    supplied structures are reused: an earlier request with the same
+    raggedness signature already built and copied them, so
+    [prelude_host_ns] and [prelude_copy_ns] are both 0; without it they
+    are built here and charged.  [?engine] / [?opt] tag the
+    [launch.pipeline] span with the execution engine (and its
+    optimization level) serving the request being priced. *)
+val price :
+  ?engine:[ `Interp | `Compiled ] ->
+  ?opt:Ir.Optimize.level ->
+  ?prelude:Cora.Prelude.built ->
+  lenv:Cora.Lenfun.env -> model -> pipeline_time
+
 (** Time a sequence of launches, including prelude build and host→device
-    copy of the auxiliary structures (Fig. 4's runtime pipeline).
-    With [?prelude] the supplied structures are reused: an earlier request
-    with the same raggedness signature already built and copied them, so
-    [prelude_host_ns] and [prelude_copy_ns] are both 0.  [?engine] /
-    [?opt] tag the [launch.pipeline] span with the execution engine (and
-    its optimization level) serving the request being priced. *)
+    copy of the auxiliary structures (Fig. 4's runtime pipeline):
+    [price] of a freshly compiled model. *)
 val pipeline :
   ?engine:[ `Interp | `Compiled ] ->
   ?opt:Ir.Optimize.level ->

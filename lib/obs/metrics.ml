@@ -39,7 +39,8 @@ type gauge = { g_name : string; cell : int Atomic.t }
    bucket-interpolated percentiles.  Bucket 0 catches underflow (values
    below [2^(e_lo-1)], including zero, negatives and NaN); the last
    bucket catches overflow. *)
-let sub = 16
+let sub_bits = 4
+let sub = 1 lsl sub_bits
 let e_lo = -16 (* smallest tracked octave: [2^-17, 2^-16) *)
 let e_hi = 50 (* largest tracked octave: [2^49, 2^50) *)
 let n_mid = (e_hi - e_lo + 1) * sub
@@ -56,11 +57,14 @@ let bucket_index x =
   if not (x >= lowest) then 0 (* underflow; also catches NaN *)
   else if x >= highest then nbuckets - 1
   else begin
-    let m, e = Float.frexp x in
-    let o = e - e_lo in
-    let s = int_of_float ((m -. 0.5) *. 2.0 *. float_of_int sub) in
-    let s = if s >= sub then sub - 1 else s in
-    1 + (o * sub) + s
+    (* [frexp] read off the IEEE-754 bits instead of its allocating C
+       call: [x] is normal here, so with biased exponent [E] and mantissa
+       bits [f], [x = (0.5 + f / 2^53) * 2^(E - 1022)] and the sub-bucket
+       [floor ((m - 0.5) * 2 * sub)] is the top [sub_bits] bits of [f] *)
+    let b = Int64.bits_of_float x in
+    let e = Int64.to_int (Int64.shift_right_logical b 52) - 1022 in
+    let s = Int64.to_int (Int64.shift_right_logical b (52 - sub_bits)) land (sub - 1) in
+    1 + ((e - e_lo) * sub) + s
   end
 
 (* [lo, hi) bounds of bucket [i]; the overflow bucket's [hi] is

@@ -211,16 +211,182 @@ type node = env -> counts
 
 (* Loop-memoisation visibility: every loop-node cost lookup is counted
    process-wide, so the memo's effectiveness on real kernels can be
-   asserted instead of assumed. *)
+   asserted instead of assumed.  Tallied per evaluation and added once at
+   its end, not per lookup. *)
 let memo_hits = Obs.Metrics.counter "cost_model.memo_hits"
 let memo_misses = Obs.Metrics.counter "cost_model.memo_misses"
 
-(** Compile a statement into a memoised cost function.  [lanes_left] tracks
-    the remaining within-block thread parallelism: nested GPU-thread loops
-    consume the lane budget multiplicatively (a 64x128 thread grid on a
-    128-lane block divides total work by 128, not 64). *)
-let compile (params : params) (stmt : Stmt.t) : node =
-  let rec comp ~lanes_left ~locals (s : Stmt.t) : node =
+(* ---------------- slot-resolved programs ----------------
+
+   A statement is compiled once into closures over integer slots: every
+   variable gets a slot index and every uninterpreted function a function
+   slot, both resolved at compile time.  A compiled {!prog} is immutable;
+   the mutable part of one evaluation — slot values, bound functions and
+   the loop memos — lives in a [state] allocated per evaluation, so a
+   program can be shared across calls (and domains) whose length tables
+   differ. *)
+
+type ufun = { call1 : int -> int; calln : int list -> int }
+
+(* Loop memos are keyed by the values of the loop's control-relevant
+   outer variables, read from their slots. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
+    go 0
+
+  let hash (a : int array) =
+    Array.fold_left (fun h x -> (h * 65599) + x) (Array.length a) a land max_int
+end)
+
+(* [min_int] marks an unbound slot; it is also what an unbound variable
+   contributes to a memo key. *)
+let unbound = min_int
+
+(* One loop node's memo for one evaluation: a loop with no control
+   variables has a single value to remember. *)
+type memo = Empty | Single of counts | Keyed of counts Key_tbl.t
+
+type state = {
+  slots : int array;
+  fns : ufun array;
+  memos : memo array;  (** one per loop node *)
+  mutable hits : int;
+  mutable misses : int;
+}
+
+(* Block enumeration, resolved at compile time: the chain of leading grid
+   loops and lets that [enumerate_blocks] peels, ending in the one body
+   every block shares. *)
+type grid =
+  | Leaf of (state -> counts)
+  | Peel of { slot : int; min : state -> int; extent : state -> int; body : grid }
+  | Bind of { slot : int; value : state -> int; body : grid }
+
+type prog = {
+  grid : grid;
+  nslots : int;
+  nmemos : int;
+  var_slots : (Var.t * int) list;
+  fn_names : string array;
+}
+
+(* compile-time slot allocation *)
+type cctx = {
+  var_slot : (int, int) Hashtbl.t;
+  mutable vars : (Var.t * int) list;
+  fn_slot : (string, int) Hashtbl.t;
+  mutable fns : string list;
+  mutable memo_count : int;
+}
+
+let slot_of cx (v : Var.t) =
+  match Hashtbl.find_opt cx.var_slot v.Var.id with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length cx.var_slot in
+      Hashtbl.add cx.var_slot v.Var.id i;
+      cx.vars <- (v, i) :: cx.vars;
+      i
+
+let fn_of cx name =
+  match Hashtbl.find_opt cx.fn_slot name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length cx.fn_slot in
+      Hashtbl.add cx.fn_slot name i;
+      cx.fns <- name :: cx.fns;
+      i
+
+(* [eval_int]/[eval_bool] over slots: same arithmetic, same errors. *)
+let rec cint cx (e : Expr.t) : state -> int =
+  match e with
+  | Int n -> fun _ -> n
+  | Var v ->
+      let s = slot_of cx v in
+      fun st ->
+        let x = Array.unsafe_get st.slots s in
+        if x = unbound then cerr "cost eval: unbound variable %s" (Var.mangled v) else x
+  | Binop (op, a, b) -> (
+      let fa = cint cx a and fb = cint cx b in
+      match op with
+      | Add -> fun st -> fa st + fb st
+      | Sub ->
+          fun st ->
+            let x = fa st in
+            x - fb st
+      | Mul -> fun st -> fa st * fb st
+      | Min -> fun st -> min (fa st) (fb st)
+      | Max -> fun st -> max (fa st) (fb st)
+      | FloorDiv ->
+          fun st ->
+            let x = fa st in
+            let y = fb st in
+            if y = 0 then cerr "cost eval: div by zero"
+            else if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1
+            else x / y
+      | Mod ->
+          fun st ->
+            let x = fa st in
+            let y = fb st in
+            if y = 0 then cerr "cost eval: mod by zero"
+            else
+              let r = x mod y in
+              if r <> 0 && (r < 0) <> (y < 0) then r + y else r
+      | Div -> fun _ -> cerr "cost eval: float division in control expression")
+  | Select (c, a, b) ->
+      let fc = cbool cx c and fa = cint cx a and fb = cint cx b in
+      fun st -> if fc st then fa st else fb st
+  | Ufun (name, [ a ]) ->
+      let u = fn_of cx name and fa = cint cx a in
+      fun st -> (Array.unsafe_get st.fns u).call1 (fa st)
+  | Ufun (name, args) ->
+      let u = fn_of cx name and fargs = List.map (cint cx) args in
+      fun st -> (Array.unsafe_get st.fns u).calln (List.map (fun f -> f st) fargs)
+  | Let (v, value, body) ->
+      let s = slot_of cx v and fv = cint cx value and fb = cint cx body in
+      fun st ->
+        let saved = st.slots.(s) in
+        st.slots.(s) <- fv st;
+        let r = fb st in
+        st.slots.(s) <- saved;
+        r
+  | _ -> fun _ -> cerr "cost eval: non-integer control expression"
+
+and cbool cx (e : Expr.t) : state -> bool =
+  match e with
+  | Bool b -> fun _ -> b
+  | Cmp (op, a, b) -> (
+      let fa = cint cx a and fb = cint cx b in
+      match op with
+      | Lt -> fun st -> fa st < fb st
+      | Le -> fun st -> fa st <= fb st
+      | Gt -> fun st -> fa st > fb st
+      | Ge -> fun st -> fa st >= fb st
+      | Eq -> fun st -> fa st = fb st
+      | Ne -> fun st -> fa st <> fb st)
+  | And (a, b) ->
+      let fa = cbool cx a and fb = cbool cx b in
+      fun st -> fa st && fb st
+  | Or (a, b) ->
+      let fa = cbool cx a and fb = cbool cx b in
+      fun st -> fa st || fb st
+  | Not a ->
+      let fa = cbool cx a in
+      fun st -> not (fa st)
+  | _ -> fun _ -> cerr "cost eval: non-boolean condition"
+
+(* The cost function of a statement.  [lanes_left] tracks the remaining
+   within-block thread parallelism: nested GPU-thread loops consume the
+   lane budget multiplicatively (a 64x128 thread grid on a 128-lane block
+   divides total work by 128, not 64). *)
+let comp_stmt cx (params : params) (stmt : Stmt.t) : state -> counts =
+  let rec comp ~lanes_left ~locals (s : Stmt.t) : state -> counts =
     let expr_counts = expr_counts_l locals in
     let comp ?(locals = locals) ~lanes_left s = comp ~lanes_left ~locals s in
     match s with
@@ -244,27 +410,28 @@ let compile (params : params) (stmt : Stmt.t) : node =
     | Let_stmt (v, e, body) ->
         let fb = comp ~lanes_left body in
         let ec = expr_counts e in
-        let needed = Var.Set.mem v (relevant body) in
-        fun env ->
-          if needed then begin
-            let saved = env.vars in
-            bind_var env v (eval_int env e);
-            let r = fb env in
-            env.vars <- saved;
+        if Var.Set.mem v (relevant body) then begin
+          let s = slot_of cx v and fe = cint cx e in
+          fun st ->
+            let saved = st.slots.(s) in
+            st.slots.(s) <- fe st;
+            let r = fb st in
+            st.slots.(s) <- saved;
             ec ++ r
-          end
-          else ec ++ fb env
+        end
+        else fun st -> ec ++ fb st
     | If (c, a, b) ->
         let fa = comp ~lanes_left a in
         let fb = Option.map (comp ~lanes_left) b in
+        let fc = cbool cx c in
         let cc = expr_counts c in
         let cc = { cc with branches = cc.branches +. 1. } in
-        fun env ->
-          if eval_bool env c then cc ++ fa env
-          else cc ++ (match fb with Some f -> f env | None -> zero_counts)
+        fun st ->
+          if fc st then cc ++ fa st
+          else cc ++ (match fb with Some f -> f st | None -> zero_counts)
     | Seq l ->
         let fs = List.map (comp ~lanes_left) l in
-        fun env -> List.fold_left (fun acc f -> acc ++ f env) zero_counts fs
+        fun st -> List.fold_left (fun acc f -> acc ++ f st) zero_counts fs
     | Alloc { buf; body; _ } -> comp ~locals:(Var.Set.add buf locals) ~lanes_left body
     | For { var; min; extent; kind; body } ->
         let rb = relevant body in
@@ -282,12 +449,17 @@ let compile (params : params) (stmt : Stmt.t) : node =
           | _ -> lanes_left
         in
         let fb = comp ~lanes_left:body_lanes body in
-        let key_vars =
-          Var.Set.elements
-            (Var.Set.union (Var.Set.union (Expr.free_vars min) (Expr.free_vars extent))
-               (Var.Set.remove var rb))
+        let key_slots =
+          Array.of_list
+            (List.map (slot_of cx)
+               (Var.Set.elements
+                  (Var.Set.union
+                     (Var.Set.union (Expr.free_vars min) (Expr.free_vars extent))
+                     (Var.Set.remove var rb))))
         in
-        let memo : (int list, counts) Hashtbl.t = Hashtbl.create 64 in
+        let vs = slot_of cx var and fmin = cint cx min and fext = cint cx extent in
+        let mi = cx.memo_count in
+        cx.memo_count <- mi + 1;
         let adjust n (c : counts) =
           let c = { c with iops = c.iops +. float_of_int n } (* loop bookkeeping *) in
           match kind with
@@ -301,36 +473,140 @@ let compile (params : params) (stmt : Stmt.t) : node =
               scale (1. /. float_of_int d) c
           | _ -> c
         in
-        fun env ->
-          let key =
-            List.map (fun v -> match Var.Map.find_opt v env.vars with Some n -> n | None -> min_int)
-              key_vars
+        let eval st =
+          let m = fmin st and n = fext st in
+          if n <= 0 then zero_counts
+          else if not var_relevant then adjust n (scale (float_of_int n) (fb st))
+          else begin
+            let acc = ref zero_counts in
+            let saved = st.slots.(vs) in
+            for i = m to m + n - 1 do
+              st.slots.(vs) <- i;
+              acc := !acc ++ fb st
+            done;
+            st.slots.(vs) <- saved;
+            adjust n !acc
+          end
+        in
+        if Array.length key_slots = 0 then fun st ->
+          match st.memos.(mi) with
+          | Single c ->
+              st.hits <- st.hits + 1;
+              c
+          | _ ->
+              st.misses <- st.misses + 1;
+              let c = eval st in
+              st.memos.(mi) <- Single c;
+              c
+        else fun st ->
+          let key = Array.map (fun s -> Array.unsafe_get st.slots s) key_slots in
+          let tbl =
+            match st.memos.(mi) with
+            | Keyed t -> t
+            | _ ->
+                let t = Key_tbl.create 16 in
+                st.memos.(mi) <- Keyed t;
+                t
           in
-          match Hashtbl.find_opt memo key with
+          match Key_tbl.find_opt tbl key with
           | Some c ->
-              Obs.Metrics.incr memo_hits;
+              st.hits <- st.hits + 1;
               c
           | None ->
-              Obs.Metrics.incr memo_misses;
-              let m = eval_int env min and n = eval_int env extent in
-              let c =
-                if n <= 0 then zero_counts
-                else if not var_relevant then adjust n (scale (float_of_int n) (fb env))
-                else begin
-                  let acc = ref zero_counts in
-                  let saved = env.vars in
-                  for i = m to m + n - 1 do
-                    env.vars <- Var.Map.add var i saved;
-                    acc := !acc ++ fb env
-                  done;
-                  env.vars <- saved;
-                  adjust n !acc
-                end
-              in
-              Hashtbl.replace memo key c;
+              st.misses <- st.misses + 1;
+              let c = eval st in
+              Key_tbl.replace tbl key c;
               c
   in
   comp ~lanes_left:params.lanes ~locals:Var.Set.empty stmt
+
+let prepare ?grid_kind (params : params) (stmt : Stmt.t) : prog =
+  let cx =
+    {
+      var_slot = Hashtbl.create 32;
+      vars = [];
+      fn_slot = Hashtbl.create 8;
+      fns = [];
+      memo_count = 0;
+    }
+  in
+  (* the same peeling as [enumerate_blocks]: leading grid loops and the
+     lets between them *)
+  let rec peel (s : Stmt.t) =
+    match (s, grid_kind) with
+    | For { var; min; extent; kind; body }, Some gk when kind = gk ->
+        let slot = slot_of cx var and min = cint cx min and extent = cint cx extent in
+        Peel { slot; min; extent; body = peel body }
+    | Let_stmt (v, e, body), Some _ ->
+        let slot = slot_of cx v and value = cint cx e in
+        Bind { slot; value; body = peel body }
+    | s, _ -> Leaf (comp_stmt cx params s)
+  in
+  let grid = peel stmt in
+  {
+    grid;
+    nslots = Hashtbl.length cx.var_slot;
+    nmemos = cx.memo_count;
+    var_slots = cx.vars;
+    fn_names = Array.of_list (List.rev cx.fns);
+  }
+
+let fn_unbound name =
+  let fail _ = cerr "cost eval: unbound ufun %s" name in
+  { call1 = fail; calln = fail }
+
+let iter_blocks ?(vars = Var.Map.empty) (p : prog) ~(ufun : string -> ufun option)
+    (f : counts -> unit) : unit =
+  let slots = Array.make p.nslots unbound in
+  List.iter
+    (fun (v, s) -> match Var.Map.find_opt v vars with Some n -> slots.(s) <- n | None -> ())
+    p.var_slots;
+  let st =
+    {
+      slots;
+      fns =
+        Array.map
+          (fun name -> match ufun name with Some u -> u | None -> fn_unbound name)
+          p.fn_names;
+      memos = Array.make p.nmemos Empty;
+      hits = 0;
+      misses = 0;
+    }
+  in
+  let rec walk = function
+    | Leaf n -> f (n st)
+    | Peel { slot; min; extent; body } ->
+        let m = min st and n = extent st in
+        let saved = slots.(slot) in
+        for i = m to m + n - 1 do
+          slots.(slot) <- i;
+          walk body
+        done;
+        slots.(slot) <- saved
+    | Bind { slot; value; body } ->
+        let saved = slots.(slot) in
+        slots.(slot) <- value st;
+        walk body;
+        slots.(slot) <- saved
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.add memo_hits st.hits;
+      Obs.Metrics.add memo_misses st.misses)
+    (fun () -> walk p.grid)
+
+let eval ?vars p ~ufun =
+  let r = ref zero_counts in
+  iter_blocks ?vars p ~ufun (fun c -> r := c);
+  !r
+
+let compile (params : params) (stmt : Stmt.t) : node =
+  let p = prepare params stmt in
+  fun env ->
+    eval ~vars:env.vars p ~ufun:(fun name ->
+        Option.map
+          (fun f -> { call1 = (fun i -> f [ i ]); calln = f })
+          (Hashtbl.find_opt env.ufuns name))
 
 (** Enumerate the grid: peel leading loops of [grid_kind] (one block per
     index combination) and return each block's environment and body. *)

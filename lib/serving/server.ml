@@ -43,11 +43,12 @@ let autotune_enabled t = t.autotune <> None
 exception Deadline_exceeded of string
 
 let degraded_c = Obs.Metrics.counter "frontend.degraded"
+let model_h = Obs.Metrics.histogram "serve.model_ns"
 
 let reset_caches () =
   Lower.clear_memo ();
   Prelude_cache.clear ();
-  Exec.clear_engine_memo ();
+  Workload.clear_plans ();
   Autotune.Tuner.clear ();
   Workload.clear_caches ()
 
@@ -81,8 +82,8 @@ type exec_stats = {
   x_arena_misses : int;
 }
 
-let execute ?(fill = default_fill) (srv : t) (job : Workload.job) (built : Prelude.built) :
-    counters * float array * exec_stats =
+let execute ?(fill = default_fill) ?handles (srv : t) (job : Workload.job)
+    (built : Prelude.built) : counters * float array * exec_stats =
   let arena = Runtime.Buffer.Arena.global in
   let arena_hits = ref 0 and arena_misses = ref 0 in
   let raggeds : (string, Ragged.t) Hashtbl.t = Hashtbl.create 16 in
@@ -131,13 +132,21 @@ let execute ?(fill = default_fill) (srv : t) (job : Workload.job) (built : Prelu
   Hashtbl.iter
     (fun name r -> if not (Hashtbl.mem written name) then Ragged.fill r (fill name))
     raggeds;
-  (* Per-request compiled-kernel-memo tally, scoped in domain-local
-     storage ([Exec.with_engine_stats]) — never global counter deltas,
-     which double-count as soon as two requests overlap. *)
-  let (env, _), estats =
-    Exec.with_engine_stats (fun () ->
-        Exec.run ~engine:srv.engine ~opt:srv.opt ~prelude:built ~lenv:job.Workload.lenv
-          ~bindings:!bindings job.Workload.kernels)
+  (* Compiled-kernel tally of this request: a plan's handles compile
+     each kernel once (misses), warm handles are hits; without handles
+     every kernel compiles for this request. *)
+  let nkernels = List.length job.Workload.kernels in
+  let engine_hits, engine_misses =
+    match (srv.engine, handles) with
+    | `Interp, _ -> (0, 0)
+    | `Compiled, Some h ->
+        let fresh = Exec.compile_handles h in
+        (nkernels - fresh, fresh)
+    | `Compiled, None -> (0, nkernels)
+  in
+  let env, _ =
+    Exec.run ~engine:srv.engine ~opt:srv.opt ~prelude:built ?handles ~lenv:job.Workload.lenv
+      ~bindings:!bindings job.Workload.kernels
   in
   let out =
     match Hashtbl.find_opt raggeds job.Workload.out_name with
@@ -146,8 +155,8 @@ let execute ?(fill = default_fill) (srv : t) (job : Workload.job) (built : Prelu
   in
   let stats =
     {
-      x_engine_hits = estats.Exec.hits;
-      x_engine_misses = estats.Exec.misses;
+      x_engine_hits = engine_hits;
+      x_engine_misses = engine_misses;
       x_arena_hits = !arena_hits;
       x_arena_misses = !arena_misses;
     }
@@ -216,28 +225,53 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
     if d.Autotune.Tuner.point = None then "hand" else "tuned"
   in
   (* [Cache.add] replaces, so a stale-epoch entry left behind by a
-     [Autotune.Tuner.clear] is overwritten rather than kept forever. *)
-  let insert_cached job state sig_ pkey kernels_ns =
+     [Autotune.Tuner.clear] is overwritten rather than kept forever.  Only
+     plan-served jobs (compile cache on) are memoized. *)
+  let insert_cached job plan state sig_ pkey kernels_ns =
+    match plan with
+    | Some plan ->
+        Cache.add w.Workload.job_cache jkey
+          {
+            Workload.c_epoch = ep;
+            c_job = job;
+            c_plan = plan;
+            c_state = state;
+            c_opt = None;
+            c_sig = sig_;
+            c_pkey = pkey;
+            c_kernels_ns = kernels_ns;
+          }
+    | None -> ()
+  in
+  (* The job serving [lens] at schedule [point]: with the compile cache
+     on, from the plan of its structure (built on the first request of
+     that structure); without it, built from scratch with no plan. *)
+  let served_job point =
     if srv.compile_cache then
-      Cache.add w.Workload.job_cache jkey
-        {
-          Workload.c_epoch = ep;
-          c_job = job;
-          c_state = state;
-          c_opt = None;
-          c_sig = sig_;
-          c_pkey = pkey;
-          c_kernels_ns = kernels_ns;
-        }
+      let plan, job, memo = Workload.plan w ?point ~opt:srv.opt lens in
+      let hits, misses =
+        match memo with
+        | Some m -> (m.Lower.hits, m.Lower.misses)
+        | None -> (List.length job.Workload.kernels, 0)
+      in
+      (job, Some plan, hits, misses)
+    else
+      let job, memo =
+        Lower.with_memo ~cache:false (fun () ->
+            match (point, w.Workload.tunable) with
+            | Some p, Some tn -> tn.Workload.build_tuned p lens
+            | _ -> w.Workload.build lens)
+      in
+      (job, None, memo.Lower.hits, memo.Lower.misses)
   in
   (* [pending] carries the tune obligation (a true tuner miss) out of the
      compile stage; the tune itself runs after the staged pipeline.
      [baked] carries a memo hit's precomputed signature, prelude key and
      kernel time, so the hit path below skips the per-request
-     Sig/defs/prelude-key and launch-model work a compile-memo hit would
-     still pay. *)
-  let job, compile_hits, compile_misses, state0, pending, baked =
+     Sig/prelude-key and launch-model work a plan hit would still pay. *)
+  let job, plan, compile_hits, compile_misses, state0, pending, baked =
     staged "compile" @@ fun () ->
+    Obs.Span.with_span "serve.compile" @@ fun () ->
     let cached =
       if srv.compile_cache then
         match Cache.find w.Workload.job_cache jkey with
@@ -250,43 +284,28 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
         (* the whole job is memoized: every kernel in it is a (stronger
            form of a) compile-memo hit — no Sig even gets computed *)
         ( cj.Workload.c_job,
+          Some cj.Workload.c_plan,
           List.length cj.Workload.c_job.Workload.kernels,
           0,
           cj.Workload.c_state,
           None,
           Some cj )
-    | None -> (
-        let build_with f =
-          Lower.with_memo ~cache:srv.compile_cache (fun () ->
-              Obs.Span.with_span "serve.compile" f)
+    | None ->
+        let point, state, pending =
+          match auto with
+          | None -> (None, "off", None)
+          | Some (cfg, tn) -> (
+              let key =
+                Autotune.Tuner.key ~workload:w.Workload.name ~tables:(w.Workload.tables_of lens)
+              in
+              match Autotune.Tuner.lookup key with
+              | Some d -> (d.Autotune.Tuner.point, state_of d, None)
+              | None ->
+                  (* serve the hand schedule now; tune post-pipeline *)
+                  (None, "miss", Some (cfg, tn, key)))
         in
-        match auto with
-        | None ->
-            let job, memo = build_with (fun () -> w.Workload.build lens) in
-            (job, memo.Lower.hits, memo.Lower.misses, "off", None, None)
-        | Some (cfg, tn) -> (
-            let key =
-              Autotune.Tuner.key ~workload:w.Workload.name
-                ~tables:(tn.Workload.tables_of lens)
-            in
-            match Autotune.Tuner.lookup key with
-            | Some d ->
-                let job, memo =
-                  build_with (fun () ->
-                      match d.Autotune.Tuner.point with
-                      | Some p -> tn.Workload.build_tuned p lens
-                      | None -> w.Workload.build lens)
-                in
-                (job, memo.Lower.hits, memo.Lower.misses, state_of d, None, None)
-            | None ->
-                (* serve the hand schedule now; tune post-pipeline *)
-                let job, memo = build_with (fun () -> w.Workload.build lens) in
-                ( job,
-                  memo.Lower.hits,
-                  memo.Lower.misses,
-                  "miss",
-                  Some (cfg, tn, key),
-                  None )))
+        let job, plan, hits, misses = served_job point in
+        (job, plan, hits, misses, state, pending, None)
   in
   (* Raggedness signature of the batch — the prelude-cache key, and the
      flight recorder's handle on "which shape was this". *)
@@ -296,11 +315,14 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
     | None -> Sig.of_tables job.Workload.tables
   in
   let tables_hex = Sig.to_hex tables_sig in
-  let defs_of (j : Workload.job) =
-    List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) j.Workload.kernels
+  let defs_of plan (j : Workload.job) =
+    match plan with
+    | Some (p : Workload.plan) -> p.Workload.p_defs
+    | None -> List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) j.Workload.kernels
   in
-  let pkey_of (j : Workload.job) = Prelude_cache.key_of ~tables_sig (defs_of j) in
-  let prelude_with ~pkey (j : Workload.job) =
+  let pkey_of plan (j : Workload.job) = Prelude_cache.key_of ~tables_sig (defs_of plan j) in
+  let prelude_with ~pkey plan (j : Workload.job) =
+    let defs () = defs_of plan j in
     if srv.prelude_cache then
       match w.Workload.prev_tables with
       | Some prev_of ->
@@ -330,31 +352,37 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
                 | Some _ -> baked_prev
                 | None ->
                     Some
-                      ( Prelude_cache.key_of ~tables_sig:(Sig.of_tables ptabs) (defs_of j),
+                      ( Prelude_cache.key_of ~tables_sig:(Sig.of_tables ptabs) (defs ()),
                         Workload.lenv_of_tables ptabs ))
           in
-          Prelude_cache.build_delta ~key:pkey ~prev (fun () -> defs_of j) j.Workload.lenv
-      | None -> Prelude_cache.build_keyed ~key:pkey (fun () -> defs_of j) j.Workload.lenv
-    else (Prelude.build ~dedup_defs:true (defs_of j) j.Workload.lenv, false)
+          Prelude_cache.build_delta ~key:pkey ~prev defs j.Workload.lenv
+      | None -> Prelude_cache.build_keyed ~key:pkey defs j.Workload.lenv
+    else (Prelude.build ~dedup_defs:true (defs ()) j.Workload.lenv, false)
   in
-  let pkey = match baked with Some cj -> cj.Workload.c_pkey | None -> pkey_of job in
+  let pkey = match baked with Some cj -> cj.Workload.c_pkey | None -> pkey_of plan job in
   let built, prelude_hit =
     staged "prelude" @@ fun () ->
-    Obs.Span.with_span "serve.prelude" (fun () -> prelude_with ~pkey job)
+    Obs.Span.with_span "serve.prelude" (fun () -> prelude_with ~pkey plan job)
   in
   (* Model time: the launches are timed against the supplied prelude (no
      rebuild inside the pipeline); its host/copy cost is charged only when
      this request actually built it.  The pipeline is a function of the
      job and prelude alone, so a memo hit reads the time baked into its
-     entry instead of re-enumerating every block. *)
-  let kernels_of (j : Workload.job) built =
-    (Machine.Launch.pipeline ~engine:srv.engine ~opt:srv.opt ~prelude:built
-       ~device:Machine.Device.v100 ~lenv:j.Workload.lenv j.Workload.launches)
+     entry instead of re-enumerating every block, and a plan prices with
+     its precompiled launch model. *)
+  let kernels_of plan (j : Workload.job) built =
+    (match plan with
+    | Some (p : Workload.plan) ->
+        Machine.Launch.price ~engine:srv.engine ~opt:srv.opt ~prelude:built
+          ~lenv:j.Workload.lenv p.Workload.p_model
+    | None ->
+        Machine.Launch.pipeline ~engine:srv.engine ~opt:srv.opt ~prelude:built
+          ~device:Machine.Device.v100 ~lenv:j.Workload.lenv j.Workload.launches)
       .Machine.Launch.kernels_ns
   in
   let kernels_ns =
     staged "launch" @@ fun () ->
-    match baked with Some cj -> cj.Workload.c_kernels_ns | None -> kernels_of job built
+    match baked with Some cj -> cj.Workload.c_kernels_ns | None -> kernels_of plan job built
   in
   (* A fresh build with nothing left to tune is the memo's steady state:
      bake it (with its precomputed signature, prelude key and kernel time)
@@ -362,7 +390,7 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
      with two bounded lookups.  A pending tune inserts instead after the
      search, below. *)
   (match (baked, pending) with
-  | None, None -> insert_cached job state0 tables_sig pkey kernels_ns
+  | None, None -> insert_cached job plan state0 tables_sig pkey kernels_ns
   | _ -> ());
   let prelude_host_ns, prelude_copy_ns =
     if prelude_hit then (0.0, 0.0)
@@ -372,8 +400,9 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
   let counters, out, xstats =
     staged "execute" @@ fun () ->
     if srv.execute then
+      let handles = Option.map (fun (p : Workload.plan) -> p.Workload.p_handles) plan in
       let c, o, s =
-        Obs.Span.with_span "serve.execute" (fun () -> execute ?fill srv job built)
+        Obs.Span.with_span "serve.execute" (fun () -> execute ?fill ?handles srv job built)
       in
       (Some c, Some o, s)
     else
@@ -384,20 +413,30 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
   let checksum = match out with None -> 0.0 | Some a -> Array.fold_left ( +. ) 0.0 a in
   (* Warm the tuner memo *after* the staged pipeline — the response above
      was served from the hand schedule (stage names and order unchanged),
-     and the tune's candidate lowerings go through the same compile memo
-     (alpha-invariant keys) and prelude cache, so the winner's artifacts
-     are already hot when the next same-signature request swaps it in. *)
+     and the tune's candidates are built through the plan memo (one build
+     per point and structure), so the winner's plan and prelude are
+     already hot when the next same-signature request swaps it in. *)
   let tuner, tune_us =
     match pending with
     | None -> (state0, 0.0)
     | Some (cfg, tn, key) ->
         Autotune.Tuner.note_fallback ();
         let t0 = Obs.Trace_sink.now_us () in
+        let candidates =
+          if srv.compile_cache then
+            List.map
+              (fun p ->
+                ( p,
+                  fun () ->
+                    let _, j, _ = Workload.plan w ~point:p ~opt:srv.opt lens in
+                    Workload.tuner_job j ))
+              (tn.Workload.space lens)
+          else Workload.candidates tn lens
+        in
         let d, _ =
           Lower.with_memo ~cache:srv.compile_cache (fun () ->
               Autotune.Tuner.tune ~cfg ~device:Machine.Device.v100 ~key ~tables_sig
-                ~hand:(Workload.tuner_job job)
-                ~candidates:(Workload.candidates tn lens) ())
+                ~hand:(Workload.tuner_job job) ~candidates ())
         in
         (* bake the winner into the job memo so the next request with
            this signature serves it with a single lookup.  The winner's
@@ -405,18 +444,18 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
            through the prelude cache under the same schedule-invariant
            [tables_sig], so pricing its launches here is a prelude hit. *)
         (match d.Autotune.Tuner.point with
-        | None -> insert_cached job "hand" tables_sig pkey kernels_ns
+        | None -> insert_cached job plan "hand" tables_sig pkey kernels_ns
         | Some p when srv.compile_cache ->
-            let tuned, _ =
-              Lower.with_memo ~cache:true (fun () -> tn.Workload.build_tuned p lens)
-            in
-            let tuned_pkey = pkey_of tuned in
-            let tuned_built, _ = prelude_with ~pkey:tuned_pkey tuned in
-            insert_cached tuned "tuned" tables_sig tuned_pkey (kernels_of tuned tuned_built)
+            let tplan, tuned, _ = Workload.plan w ~point:p ~opt:srv.opt lens in
+            let tplan = Some tplan in
+            let tuned_pkey = pkey_of tplan tuned in
+            let tuned_built, _ = prelude_with ~pkey:tuned_pkey tplan tuned in
+            insert_cached tuned tplan "tuned" tables_sig tuned_pkey
+              (kernels_of tplan tuned tuned_built)
         | Some _ -> ());
         ("miss", Obs.Trace_sink.now_us () -. t0)
   in
-  Obs.Metrics.observe (Obs.Metrics.histogram "serve.model_ns") model_ns;
+  Obs.Metrics.observe model_h model_ns;
   Obs.Span.add_attr "model_ns" (Obs.Trace_sink.Float model_ns);
   Obs.Span.add_attr "compile_hits" (Obs.Trace_sink.Int compile_hits);
   Obs.Span.add_attr "prelude_hit" (Obs.Trace_sink.Str (if prelude_hit then "yes" else "no"));

@@ -1,5 +1,6 @@
-(** The serving loop's core: handle one request = compile (through the
-    {!Cora.Lower} compile cache), build the prelude (through
+(** The serving loop's core: handle one request = find its job (the
+    per-vector job memo, else the plan of its structure, built once
+    through the {!Cora.Lower} compile cache), build the prelude (through
     {!Cora.Prelude_cache}, keyed by the batch's raggedness signature),
     time the pipeline on the machine model, and optionally execute it
     through the reference interpreter.
@@ -21,8 +22,11 @@ type response = {
   compile_hits : int;  (** compile-cache hits while building this job *)
   compile_misses : int;
   prelude_hit : bool;
-  engine_hits : int;  (** compiled-kernel-memo hits of this request *)
+  engine_hits : int;
+      (** kernels this request ran through already-compiled plan handles *)
   engine_misses : int;
+      (** kernels compiled for this request (cold plan handles, or every
+          kernel of a compiled request served without a plan) *)
   arena_hits : int;  (** arena acquisitions recycled / freshly allocated *)
   arena_misses : int;
   tables_hex : string;  (** hex raggedness signature of the batch ({!Cora.Sig.to_hex}) *)
@@ -68,9 +72,12 @@ type t
     move data-axis loop structure).
 
     Modeled times are always priced on {!Machine.Device.v100}.  With the
-    compile cache on, each workload's job memo ({!Workload.cached_job})
-    carries the job's modeled kernel time, so a repeat request skips the
-    launch model as well as compilation. *)
+    compile cache on, jobs are served from {!Workload.plan}s — one build,
+    launch-model compilation and engine compilation per structure — and
+    each workload's job memo ({!Workload.cached_job}) carries the job's
+    modeled kernel time, so a repeat request skips the launch model as
+    well.  Without it every request builds, prices and compiles from
+    scratch. *)
 val create :
   ?compile_cache:bool -> ?prelude_cache:bool -> ?execute:bool ->
   ?engine:Cora.Exec.engine -> ?opt:Ir.Optimize.level ->
@@ -114,8 +121,8 @@ val handle :
   ?fill:(string -> int list -> float) ->
   t -> Workload.t -> int array -> response
 
-(** Drop all cache contents (compile memo, prelude builds, the
-    compiled-kernel memo of the engine, and the tuner memo). *)
+(** Drop all cache contents (compile memo, prelude builds, plans, the
+    tuner memo and every workload's job memo). *)
 val reset_caches : unit -> unit
 
 (** Deterministic input fill used for every tensor that is read but never

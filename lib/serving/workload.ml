@@ -17,14 +17,21 @@ type batching = {
 }
 
 type tunable = {
-  tables_of : int array -> (string * int array) list;
   space : int array -> Autotune.Space.point list;
   build_tuned : Autotune.Space.point -> int array -> job;
+}
+
+type plan = {
+  p_job : job;
+  p_defs : Prelude.def list;
+  p_model : Machine.Launch.model;
+  p_handles : Exec.handles;
 }
 
 type cached_job = {
   c_epoch : int;
   c_job : job;
+  c_plan : plan;
   c_state : string;
   c_opt : int option;
   c_sig : Sig.t;
@@ -34,8 +41,11 @@ type cached_job = {
 
 type t = {
   name : string;
+  id : int;
   sample : Workloads.Rng.t -> int array;
   build : int array -> job;
+  tables_of : int array -> (string * int array) list;
+  structure : int array -> int array;
   batching : batching option;
   tunable : tunable option;
   prev_tables : (int array -> (int array * (string * int array) list) option) option;
@@ -78,6 +88,9 @@ let job_cache_of name =
   register_memo c;
   c
 
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1
+
 (* The invariant every adapter maintains: the runtime environment is built
    from the tables and nothing else, so [Sig.of_tables tables] determines
    the prelude build and can safely key the cache. *)
@@ -88,6 +101,62 @@ let tuner_job (j : job) =
 
 let candidates (tn : tunable) lens =
   List.map (fun p -> (p, fun () -> tuner_job (tn.build_tuned p lens))) (tn.space lens)
+
+(* ---- plans ----
+
+   One process-wide bounded memo: entries are keyed by instance id, so
+   two instances never share a plan, and a dropped instance's plans age
+   out under the LRU bound.  Capacity covers a serving pool's distinct
+   structures times a handful of schedule points. *)
+let plans : (string, plan) Cache.t = Cache.create ~name:"plan" ~capacity:128 ()
+
+let clear_plans () = Cache.clear plans
+let plan_stats () = Cache.stats plans
+
+let plan_key (w : t) ~point ~opt lens =
+  let b = Buffer.create 64 in
+  Buffer.add_string b w.name;
+  Buffer.add_char b '#';
+  Buffer.add_string b (string_of_int w.id);
+  Buffer.add_char b '|';
+  (* a point with every knob at its default also renders as "hand" *)
+  Buffer.add_string b
+    (match point with None -> "hand" | Some p -> "@" ^ Autotune.Space.to_string p);
+  Buffer.add_char b '|';
+  Buffer.add_string b (Ir.Optimize.level_name opt);
+  Array.iter
+    (fun n ->
+      Buffer.add_char b '|';
+      Buffer.add_string b (string_of_int n))
+    (w.structure lens);
+  Buffer.contents b
+
+let instantiate (w : t) (p : plan) lens =
+  let tables = w.tables_of lens in
+  { p.p_job with tables; lenv = lenv_of_tables tables }
+
+let plan (w : t) ?point ~opt lens =
+  let key = plan_key w ~point ~opt lens in
+  match Cache.find plans key with
+  | Some p -> (p, instantiate w p lens, None)
+  | None ->
+      let job, memo =
+        Lower.with_memo ~cache:true (fun () ->
+            match (point, w.tunable) with
+            | None, _ -> w.build lens
+            | Some pt, Some tn -> tn.build_tuned pt lens
+            | Some _, None -> invalid_arg ("Workload.plan: " ^ w.name ^ " is not tunable"))
+      in
+      let p =
+        {
+          p_job = job;
+          p_defs = List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) job.kernels;
+          p_model = Machine.Launch.compile ~device:Machine.Device.v100 job.launches;
+          p_handles = Exec.handles ~opt job.kernels;
+        }
+      in
+      Cache.add plans key p;
+      (p, job, Some memo)
 
 (* ---- batching descriptor helpers ----
 
@@ -250,7 +319,6 @@ let fig1 ?(batch = 6) ?(max_len = 10) () : t =
      schedule is the implicit baseline — it is simulated, never pruned. *)
   let tunable =
     {
-      tables_of = (fun lens -> [ ("lens", lens) ]);
       space =
         (fun _lens ->
           Autotune.Space.
@@ -269,8 +337,13 @@ let fig1 ?(batch = 6) ?(max_len = 10) () : t =
   in
   {
     name = "fig1";
+    id = fresh_id ();
     sample = (fun rng -> Array.init batch (fun _ -> 1 + Workloads.Rng.int rng max_len));
     build;
+    tables_of = (fun lens -> [ ("lens", lens) ]);
+    (* the row count is baked in ([Shape.fixed batch]); lengths are read
+       from the "lens" table at run time *)
+    structure = (fun lens -> [| Array.length lens |]);
     batching = Some batching;
     tunable = Some tunable;
     prev_tables = None;
@@ -349,10 +422,6 @@ let vgemm ?(batch = 4) ?(tile = 32)
      is then exactly the valid region and the output stays bitwise. *)
   let tunable =
     {
-      tables_of =
-        (fun dims ->
-          let ms, ns, ks = segs dims in
-          [ ("vm", ms); ("vn", ns); ("vk", ks) ]);
       space =
         (fun dims ->
           let ms, ns, _ = segs dims in
@@ -371,8 +440,16 @@ let vgemm ?(batch = 4) ?(tile = 32)
   in
   {
     name = "vgemm";
+    id = fresh_id ();
     sample;
     build;
+    tables_of =
+      (fun dims ->
+        let ms, ns, ks = segs dims in
+        [ ("vm", ms); ("vn", ns); ("vk", ks) ]);
+    (* the schedule elides guards, so every dimension is baked into the
+       kernel body *)
+    structure = Fun.id;
     batching = Some batching;
     tunable = Some tunable;
     prev_tables = None;
@@ -406,7 +483,6 @@ let trmm ?(tile = 16) ?(sizes = [| 32; 48; 64 |]) () : t =
      order, hence bitwise) exercises the tuner's "keep hand" path. *)
   let tunable =
     {
-      tables_of = (fun lens -> [ ("tri", tri_table lens.(0)) ]);
       space = (fun _ -> [ Autotune.Space.make ~aux:[ ("unsplit", 1) ] () ]);
       build_tuned =
         (fun p lens ->
@@ -422,8 +498,12 @@ let trmm ?(tile = 16) ?(sizes = [| 32; 48; 64 |]) () : t =
      triangular instance — so the batcher serves it as singletons. *)
   {
     name = "trmm";
+    id = fresh_id ();
     sample;
     build;
+    tables_of = (fun lens -> [ ("tri", tri_table lens.(0)) ]);
+    (* [n] fixes the split point and the tile counts *)
+    structure = Fun.id;
     batching = None;
     tunable = Some tunable;
     prev_tables = None;
@@ -503,7 +583,6 @@ let encoder ?(base = false) ?(batch = 4) ~(dataset : Workloads.Datasets.t) () : 
           ]
     in
     {
-      tables_of = (fun lens -> [ ("seq", lens) ]);
       space = (fun _ -> space_points);
       build_tuned =
         (fun p lens ->
@@ -515,8 +594,12 @@ let encoder ?(base = false) ?(batch = 4) ~(dataset : Workloads.Datasets.t) () : 
   in
   {
     name = "encoder";
+    id = fresh_id ();
     sample;
     build;
+    tables_of = (fun lens -> [ ("seq", lens) ]);
+    (* sequence lengths reach the kernels only through the "seq" table *)
+    structure = (fun lens -> [| Array.length lens |]);
     batching = Some batching;
     tunable = Some tunable;
     prev_tables = None;
@@ -526,6 +609,9 @@ let encoder ?(base = false) ?(batch = 4) ~(dataset : Workloads.Datasets.t) () : 
 (* --- Autoregressive decode step (KV-cache append attention) --- *)
 
 let decode ?(batch = 4) ?(max_src = 24) () : t =
+  let tables_of src_lens =
+    [ ("tgt", Array.make (Array.length src_lens) 1); ("src", Array.copy src_lens) ]
+  in
   let job_of src_lens =
     let ones = Array.make (Array.length src_lens) 1 in
     (* Construct the cfg directly (not via [Decoder.make]): make sorts the
@@ -539,7 +625,7 @@ let decode ?(batch = 4) ?(max_src = 24) () : t =
       }
     in
     let d = Transformer.Decoder.build_decode cfg in
-    let tables = [ ("tgt", ones); ("src", Array.copy src_lens) ] in
+    let tables = tables_of src_lens in
     {
       kernels = d.Transformer.Decoder.dkernels;
       launches = List.map Machine.Launch.single d.Transformer.Decoder.dkernels;
@@ -576,8 +662,12 @@ let decode ?(batch = 4) ?(max_src = 24) () : t =
   in
   {
     name = "decode";
+    id = fresh_id ();
     sample = (fun rng -> Array.init batch (fun _ -> 1 + Workloads.Rng.int rng max_src));
     build;
+    tables_of;
+    (* cache lengths reach the kernels only through the "src" table *)
+    structure = (fun lens -> [| Array.length lens |]);
     batching = Some batching;
     (* The decode schedules are fixed by the cache layout (seq_pad fused
        sweep): there is no schedule point to search. *)

@@ -1,13 +1,15 @@
 (** Serving workloads: adapters from a raggedness vector (the only part of
     a request that varies) to a compiled, executable job.
 
-    Each adapter rebuilds its operator and schedule from scratch on every
-    request — exactly what a serving system presented with "the same"
-    model would do — so the compile cache ({!Cora.Lower.with_memo}) is what
-    makes repeated structures cheap, and the concrete tables are what key
-    the prelude cache.  [job.lenv] is constructed from [job.tables] alone,
-    so {!Cora.Sig.of_tables} over the tables fully determines the prelude
-    build. *)
+    Each adapter's [build] constructs its operator and schedule from
+    scratch — exactly what a serving system presented with "the same"
+    model would do.  The server runs it once per {e structure} (see
+    {!plan}): the kernels of a job depend only on the part of the vector
+    its [structure] key returns, and everything else reaches them through
+    the length tables.  [job.lenv] is constructed from [job.tables]
+    alone, so {!Cora.Sig.of_tables} over the tables fully determines the
+    prelude build, and a plan serves a new vector of the same structure
+    by swapping in that vector's tables. *)
 
 type job = {
   kernels : Cora.Lower.kernel list;  (** execution order *)
@@ -60,10 +62,6 @@ type batching = {
     vgemm only admits tiles dividing every [m]/[n] because its schedule
     elides guards). *)
 type tunable = {
-  tables_of : int array -> (string * int array) list;
-      (** the job's length tables without compiling it — with the
-          workload name, this keys the tuner memo ([Sig.of_tables]) so a
-          lookup costs no lowering *)
   space : int array -> Autotune.Space.point list;
       (** candidate schedule points for this raggedness vector (may
           depend on it, e.g. divisibility filters); the hand schedule is
@@ -72,12 +70,26 @@ type tunable = {
       (** compile the job at one candidate point *)
 }
 
+(** The per-structure half of serving, built once: the lowered kernels
+    and launches (a job built for some vector of this structure), the
+    aux-def list the prelude is built from, the compiled launch model on
+    the v100 and the compiled-engine handles of the kernels.  A request
+    whose vector has this structure is served from it with no builder,
+    {!Cora.Sig.of_stmt} or cost-model compilation. *)
+type plan = {
+  p_job : job;  (** tables/lenv are those of the vector that built it *)
+  p_defs : Cora.Prelude.def list;  (** every kernel's [aux], in kernel order *)
+  p_model : Machine.Launch.model;
+  p_handles : Cora.Exec.handles;
+}
+
 (** One memoized serving decision: the built job, the tuner verdict that
     produced it, and the request-invariant derivations a repeat request
     would otherwise recompute — the tables' raggedness signature, the
     prelude-cache key and the modeled kernel time.  A hit replays the
     whole compile+prelude+launch front of the pipeline with two
-    bounded-cache lookups and no [Sig], def-list or launch-model work.
+    bounded-cache lookups and no [Sig], def-list or launch-model work,
+    and executes through its plan's engine handles.
     Deliberately {e not} the built prelude itself: the prelude cache's
     LRU bound must keep governing prelude memory, so an evicted prelude
     rebuilds even on a job-memo hit.  [c_epoch] is
@@ -88,6 +100,7 @@ type tunable = {
 type cached_job = {
   c_epoch : int;
   c_job : job;
+  c_plan : plan;  (** the plan [c_job] was instantiated from *)
   c_state : string;  (** tuner state to report: ["off"], ["hand"], ["tuned"] *)
   c_opt : int option;
       (** always [None]: schedule points carry no engine opt level.  Kept
@@ -101,9 +114,29 @@ type cached_job = {
 
 type t = {
   name : string;
+  id : int;
+      (** instance identity, part of every plan key: two instances (even
+          of the same configuration) never share a plan.  A record
+          derived with [{ w with ... }] keeps it, so a derivation that
+          changes [build] should also change [name] *)
   sample : Workloads.Rng.t -> int array;
       (** draw one request's raggedness vector *)
   build : int array -> job;  (** compile the job for that vector *)
+  tables_of : int array -> (string * int array) list;
+      (** the job's length tables without compiling it — same names,
+          order and contents as [(build lens).tables].  With the workload
+          name it keys the tuner memo ([Sig.of_tables]); on a plan hit it
+          is the only per-vector part of the job *)
+  structure : int array -> int array;
+      (** the structure key: the part of the vector the kernel bodies
+          depend on.  The invariant: two vectors with equal keys build
+          jobs whose kernels are identical up to alpha-renaming
+          ({!Cora.Sig.of_stmt}), with the same launches, aux defs and
+          output name, so one {!plan} serves both.  The row count for
+          fig1, encoder and decode (lengths reach their kernels only
+          through tables); the whole vector for vgemm (dimensions are
+          baked into the guard-free schedule) and trmm ([n] fixes the
+          split) *)
   batching : batching option;
       (** [None] (e.g. trmm) — the batcher serves requests as singletons *)
   tunable : tunable option;
@@ -127,10 +160,10 @@ type t = {
           server sharing this value never read each other's entries.
           Decisions do not depend on the opt level in the auto prefix;
           perfbench's replay recomputes that prefix.  A repeat
-          request skips job construction, the per-kernel [Sig]
-          computation a compile-memo hit still pays, the tuner-memo key
-          derivation *and* the launch model: steady-state autotuned
-          serving does exactly one lookup, same as hand serving.  Per instance, because [build]
+          request skips the plan lookup and instantiation, the
+          raggedness-signature and tuner-memo key derivation *and* the
+          launch model: steady-state autotuned serving does exactly one
+          lookup, same as hand serving.  Per instance, because [build]
           closes over this value's configuration: two workloads with the
           same name but different configurations can never collide.
           Consulted by {!Server.handle} only when its compile cache is
@@ -158,6 +191,24 @@ val tuner_job : job -> Autotune.Tuner.job
     builder of its job: the [~candidates] of {!Autotune.Tuner.tune}. *)
 val candidates :
   tunable -> int array -> (Autotune.Space.point * (unit -> Autotune.Tuner.job)) list
+
+(** [plan w ?point ~opt lens] — the plan for [lens]'s structure at
+    schedule [point] ([None]: the hand schedule) and engine level [opt],
+    with the job serving [lens] and, on a miss, the lowering-memo tally of
+    the build.  A hit instantiates the plan's job with [w.tables_of lens];
+    a miss runs [build] (or [build_tuned point]) under
+    [Lower.with_memo ~cache:true] and inserts the plan.  Plans live in one
+    process-wide bounded memo (the [plan] cache), keyed by workload name,
+    instance {!t.id}, point, [opt] and [structure lens]. *)
+val plan :
+  t -> ?point:Autotune.Space.point -> opt:Ir.Optimize.level -> int array ->
+  plan * job * Cora.Lower.memo_stats option
+
+(** Empty the plan memo (called by [Server.reset_caches]). *)
+val clear_plans : unit -> unit
+
+(** Hit/miss/eviction/entry counts of the plan memo. *)
+val plan_stats : unit -> Cora.Cache.stats
 
 (** Fig. 1 of the paper: [O\[b\]\[j\] = 2 * A\[b\]\[j\]] with ragged [j],
     loop-padded and guarded.  Raggedness vector = the row lengths. *)

@@ -107,7 +107,7 @@ let tune_fig1 lens =
   let w = Serving.Workload.fig1 () in
   let tn = tunable w in
   let key =
-    Autotune.Tuner.key ~workload:"fig1" ~tables:(tn.Serving.Workload.tables_of lens)
+    Autotune.Tuner.key ~workload:"fig1" ~tables:(w.Serving.Workload.tables_of lens)
   in
   let hand = Serving.Workload.tuner_job (w.Serving.Workload.build lens) in
   let candidates = Serving.Workload.candidates tn lens in
@@ -131,7 +131,7 @@ let test_tuner_win_and_memo () =
   let w = Serving.Workload.fig1 () in
   let tn = tunable w in
   let key2 =
-    Autotune.Tuner.key ~workload:"fig1" ~tables:(tn.Serving.Workload.tables_of lens2)
+    Autotune.Tuner.key ~workload:"fig1" ~tables:(w.Serving.Workload.tables_of lens2)
   in
   let d2 =
     Autotune.Tuner.tune
@@ -269,7 +269,7 @@ let test_hot_path_memos () =
          reg)
   in
   Alcotest.(check (list string)) "five serving cache families"
-    [ "autotune"; "compile_cache"; "engine_cache"; "job_build"; "prelude_cache" ]
+    [ "autotune"; "compile_cache"; "job_build"; "plan"; "prelude_cache" ]
     families;
   Alcotest.(check bool) "per-workload job memo registered" true
     (List.mem_assoc "job_build.fig1" reg);

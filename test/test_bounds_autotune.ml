@@ -57,7 +57,7 @@ let test_autotune_improves_or_matches () =
         Autotune.Tuner.tune ~device:Machine.Device.v100
           ~key:
             (Autotune.Tuner.key ~workload:w.Serving.Workload.name
-               ~tables:(tn.Serving.Workload.tables_of lens))
+               ~tables:(w.Serving.Workload.tables_of lens))
           ~hand:(Serving.Workload.tuner_job (w.Serving.Workload.build lens))
           ~candidates:(Serving.Workload.candidates tn lens) ())
   in

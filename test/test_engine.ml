@@ -357,22 +357,35 @@ let test_error_parity_with_interp () =
   Alcotest.(check bool) "engine raises" true engine_raises
 
 (* ------------------------------------------------------------------ *)
-(* Engine memo: same structural signature compiles once. *)
+(* Engine handles: a kernel list compiles once, and every later run given
+   the same handles reuses the compiled closures with identical results. *)
 
-let test_engine_memo () =
-  Exec.clear_engine_memo ();
+let test_engine_handles () =
   let d =
     { storage_pad = 2; loop_pad = 2; fuse = false; fsplit = None; split1 = Some 3;
       split2 = None; rsplit = None; elide = false; hoist = true; bind = No_bind }
   in
   let kernel, a, o = lower_with_decision d in
-  ignore (run_once kernel a o ~engine:`Compiled ~multicore:false);
-  let after_first = Exec.engine_memo_size () in
-  (* same decision → alpha-equivalent body → memo hit, size unchanged *)
-  let kernel2, a2, o2 = lower_with_decision d in
-  ignore (run_once kernel2 a2 o2 ~engine:`Compiled ~multicore:false);
-  Alcotest.(check int) "one compiled kernel memoized" after_first (Exec.engine_memo_size ());
-  Alcotest.(check bool) "memo non-empty" true (after_first >= 1)
+  let h = Exec.handles ~opt:Ir.Optimize.O0 [ kernel ] in
+  let run () =
+    let ra = Ragged.alloc a lenv and ro = Ragged.alloc o lenv in
+    Ragged.fill ra (fun idx -> float_of_int ((10 * List.nth idx 0) + List.nth idx 1));
+    ignore
+      (Exec.run_ragged ~engine:`Compiled ~handles:h ~lenv ~tensors:[ ra; ro ] [ kernel ]);
+    bits (Runtime.Buffer.floats ro.Ragged.buf)
+  in
+  Alcotest.(check int) "cold handles compile the kernel" 1 (Exec.compile_handles h);
+  Alcotest.(check int) "warm handles compile nothing" 0 (Exec.compile_handles h);
+  let first = run () in
+  Alcotest.(check bool) "reused handles give identical output" true (first = run ());
+  Alcotest.(check bool) "handles agree with a per-call compile" true
+    (first = bits (fst (run_once kernel a o ~engine:`Compiled ~multicore:false)));
+  Alcotest.(check bool) "handles of another kernel list are rejected" true
+    (match
+       Exec.run ~engine:`Compiled ~handles:h ~lenv ~bindings:[] [ kernel; kernel ]
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let () =
   Alcotest.run "engine"
@@ -401,5 +414,5 @@ let () =
           Alcotest.test_case "int buffer rejected" `Quick test_int_buffer_rejected;
           Alcotest.test_case "error parity with interp" `Quick test_error_parity_with_interp;
         ] );
-      ("memo", [ Alcotest.test_case "sig-keyed compile memo" `Quick test_engine_memo ]);
+      ("memo", [ Alcotest.test_case "plan handles compile once" `Quick test_engine_handles ]);
     ]

@@ -34,6 +34,33 @@ let prop_descending_within_bounds =
       let mx = Array.fold_left Float.max 0.0 costs in
       span_desc <= span_asc +. mx +. 1e-9)
 
+(* The heap scheduler against the textbook greedy scan (each block to the
+   first processor with the least free time), bitwise — including ties
+   and zero-cost blocks, where the first-minimum rule decides. *)
+let scan_makespan ~n_proc costs =
+  let a = Array.make n_proc 0.0 in
+  Array.iter
+    (fun c ->
+      let best = ref 0 in
+      for i = 1 to n_proc - 1 do
+        if a.(i) < a.(!best) then best := i
+      done;
+      a.(!best) <- a.(!best) +. c)
+    costs;
+  Array.fold_left Float.max 0.0 a
+
+let prop_heap_matches_scan =
+  QCheck.Test.make ~count:500 ~name:"heap scheduler == greedy scan, bitwise"
+    QCheck.(
+      pair (int_range 1 100)
+        (array_of_size (Gen.int_range 1 300)
+           (oneof [ float_range 0.0 50.0; map float_of_int (int_range 0 3) ])))
+    (fun (n_proc, costs) ->
+      let bits = Int64.bits_of_float in
+      Int64.equal
+        (bits (Machine.Gpusim.makespan ~n_proc costs))
+        (bits (scan_makespan ~n_proc costs)))
+
 let test_makespan_exact () =
   (* 4 blocks of 1.0 on 2 procs = 2.0 *)
   Alcotest.(check (float 1e-9)) "uniform" 2.0
@@ -170,7 +197,8 @@ let () =
   Alcotest.run "machine"
     [
       ( "gpusim",
-        List.map QCheck_alcotest.to_alcotest [ prop_makespan_bounds; prop_descending_within_bounds ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_makespan_bounds; prop_descending_within_bounds; prop_heap_matches_scan ]
         @ [ Alcotest.test_case "exact small schedules" `Quick test_makespan_exact ] );
       ( "cost-model",
         [
