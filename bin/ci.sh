@@ -93,31 +93,16 @@ ops=$(json_field "$cjson" scalar_ops_per_sec)
 awk -v o="$ops" 'BEGIN { exit (o > 0) ? 0 : 1 }' \
   || { echo "ci: scalar_ops_per_sec=$ops, expected > 0" >&2; exit 1; }
 
-echo "== cora bench-stream --exec --engine compiled --opt 2 --smoke" >&2
-# Same stream at optimization level 2.  --smoke keeps the bitwise
-# interpreter comparison AND fails if the buffer arena misses after the
-# first window — the zero-allocation steady-state contract: once the first
-# window has populated the arena's size classes, serving must not allocate
-# fresh float storage.  The per-window miss counts are re-checked here from
-# the JSON as an independent assertion.
-dune exec bin/cora_cli.exe -- bench-stream --exec --engine compiled --opt 2 --smoke \
-  > "$tmpdir/stream_opt.txt"
-
-ojson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_opt.txt")
-test -n "$ojson" || { echo "ci: no BENCH_STREAM line (opt)" >&2; exit 1; }
-echo "$ojson" | grep -q '"opt":2' \
-  || { echo "ci: opt run not labelled opt=2" >&2; exit 1; }
-wmiss=$(json_field "$ojson" window_arena_miss)
-test -n "$wmiss" || { echo "ci: no window_arena_miss in JSON" >&2; exit 1; }
-echo "$wmiss" | awk -F, '{ for (i = 2; i <= NF; i++) if ($i > 0) exit 1 }' \
-  || { echo "ci: arena misses grew after first window ($wmiss)" >&2; exit 1; }
-
 echo "== cora bench-stream --exec --engine compiled --opt 3 --smoke" >&2
-# The O3 stride-specialized microkernel level on the serving path.  --smoke
-# keeps the bitwise interpreter replay of the first window; additionally the
-# whole stream's output digest (stream_checksum: XOR of every served
-# checksum's bit pattern) must equal the O0 compiled run's from the step
-# above — a full-stream bitwise replay check across optimization levels.
+# The O3 serving level.  --smoke keeps the bitwise interpreter replay of the
+# first window AND fails if the buffer arena misses after the first window —
+# the zero-allocation steady-state contract: once the first window has
+# populated the arena's size classes, serving must not allocate fresh float
+# storage.  The per-window miss counts are re-checked here from the JSON as
+# an independent assertion.  Additionally the whole stream's output digest
+# (stream_checksum: XOR of every served checksum's bit pattern) must equal
+# the O0 compiled run's from the step above — a full-stream bitwise replay
+# check across optimization levels.
 dune exec bin/cora_cli.exe -- bench-stream --exec --engine compiled --opt 3 --smoke \
   > "$tmpdir/stream_o3.txt"
 
@@ -125,6 +110,9 @@ o3json=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_o3.txt")
 test -n "$o3json" || { echo "ci: no BENCH_STREAM line (opt 3)" >&2; exit 1; }
 echo "$o3json" | grep -q '"opt":3' \
   || { echo "ci: O3 run not labelled opt=3" >&2; exit 1; }
+wmiss=$(json_field "$o3json" window_arena_miss)
+echo "$wmiss" | awk -F, '{ for (i = 2; i <= NF; i++) if ($i > 0) exit 1 }' \
+  || { echo "ci: arena misses grew after first window ($wmiss)" >&2; exit 1; }
 ck0=$(json_field "$cjson" stream_checksum)
 ck3=$(json_field "$o3json" stream_checksum)
 test -n "$ck0" && test "$ck0" = "$ck3" \
@@ -148,30 +136,47 @@ ck3d=$(json_field "$o3djson" stream_checksum)
 test "$ck0" = "$ck3d" \
   || { echo "ci: concurrent O3 stream digest $ck3d diverges from O0's $ck0" >&2; exit 1; }
 
-echo "== bench o3 — microkernel speedup floor" >&2
-# The O3 headline, asserted best-of-3: each bench run is itself a min of
-# three adaptive samples per level, but on a busy single-core CI box the
-# cross-level ratio still jitters, so the floor is checked against the
-# best ratio over three whole runs.  O3 must come in at >= 1.5x over O2
-# on vgemm and >= 1.3x on the encoder layer, with outputs
-# bitwise-identical to the interpreter at both levels in every run.
+echo "== bench engine — O3/O0 speedup floor and bound variants" >&2
+# Deterministic half: the O3 microkernel variants each runner's kernels bind
+# at closure-build time (BENCH_ENGINE lists the nonzero
+# engine.mk_variant.* counts) must be exactly this set.
+# Clocked half, asserted best-of-3: each bench run is itself a min of three
+# alternating O0/O3 adaptive samples, but on a busy CI box the ratio still
+# jitters, so the floor is checked against the best ratio over three whole
+# runs.  O3 must come in at >= 17.0x over O0 on vgemm and >= 6.2x on the
+# encoder layer (the former O3 >= 1.5x / 1.3x over O2 floors times the
+# median O2/O0 ratio, 11.3x / 4.75x), with outputs bitwise-identical to the
+# interpreter at both levels in every run.
+variants_of() {
+  printf '%s\n' "$1" | sed -n "s/.*\"$2\":{\([^}]*\)}.*/\1/p" \
+    | grep -o '"engine\.mk_variant\.[a-z0-9_.]*"' | tr -d '"' \
+    | sed 's/^engine\.mk_variant\.//' | LC_ALL=C sort | tr '\n' ' '
+}
 best_vg=0; best_enc=0
 for i in 1 2 3; do
-  dune exec bench/main.exe -- o3 > "$tmpdir/bench_o3_$i.txt"
-  o3b=$(sed -n 's/^BENCH_O3 //p' "$tmpdir/bench_o3_$i.txt")
-  test -n "$o3b" || { echo "ci: no BENCH_O3 line (run $i)" >&2; exit 1; }
-  echo "$o3b" | grep -q '"outputs_match":false' \
-    && { echo "ci: O3 outputs diverge from the interpreter" >&2; exit 1; }
-  vg=$(json_field "$o3b" speedup_o3_vs_o2 vgemm)
-  enc=$(json_field "$o3b" speedup_o3_vs_o2 encoder)
+  dune exec bench/main.exe -- engine > "$tmpdir/bench_engine_$i.txt"
+  eb=$(sed -n 's/^BENCH_ENGINE //p' "$tmpdir/bench_engine_$i.txt")
+  test -n "$eb" || { echo "ci: no BENCH_ENGINE line (run $i)" >&2; exit 1; }
+  echo "$eb" | grep -q '"outputs_match":false' \
+    && { echo "ci: compiled outputs diverge from the interpreter" >&2; exit 1; }
+  vv=$(variants_of "$eb" vgemm)
+  vv_want="dot.sum_s4 dot.tile4 "
+  test "$vv" = "$vv_want" \
+    || { echo "ci: vgemm O3 bound variants [$vv], expected [$vv_want]" >&2; exit 1; }
+  ev=$(variants_of "$eb" encoder)
+  ev_want="copy.blit dot.sum_u4 dot.tile4 dot.tile4_masked reduce1.combine_s reduce1.sum_u4 "
+  test "$ev" = "$ev_want" \
+    || { echo "ci: encoder O3 bound variants [$ev], expected [$ev_want]" >&2; exit 1; }
+  vg=$(json_field "$eb" speedup_o3_vs_o0 vgemm)
+  enc=$(json_field "$eb" speedup_o3_vs_o0 encoder)
   if awk -v a="$vg" -v b="$best_vg" 'BEGIN { exit (a > b) ? 0 : 1 }'; then best_vg=$vg; fi
   if awk -v a="$enc" -v b="$best_enc" 'BEGIN { exit (a > b) ? 0 : 1 }'; then best_enc=$enc; fi
 done
-awk -v s="$best_vg" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' \
-  || { echo "ci: vgemm O3/O2 speedup $best_vg below the 1.5x floor" >&2; exit 1; }
-awk -v s="$best_enc" 'BEGIN { exit (s >= 1.3) ? 0 : 1 }' \
-  || { echo "ci: encoder O3/O2 speedup $best_enc below the 1.3x floor" >&2; exit 1; }
-echo "ci: O3/O2 speedups OK (best-of-3: vgemm ${best_vg}x, encoder ${best_enc}x)" >&2
+awk -v s="$best_vg" 'BEGIN { exit (s >= 17.0) ? 0 : 1 }' \
+  || { echo "ci: vgemm O3/O0 speedup $best_vg below the 17.0x floor" >&2; exit 1; }
+awk -v s="$best_enc" 'BEGIN { exit (s >= 6.2) ? 0 : 1 }' \
+  || { echo "ci: encoder O3/O0 speedup $best_enc below the 6.2x floor" >&2; exit 1; }
+echo "ci: O3/O0 speedups OK (best-of-3: vgemm ${best_vg}x, encoder ${best_enc}x)" >&2
 
 echo "== cora bench-stream --exec --domains 4 --smoke" >&2
 # Same stream, but pushed through the concurrent front-end: 4 worker domains

@@ -455,17 +455,17 @@ let bench_stream_cmd =
       & info [ "engine" ]
           ~doc:
             "Execution engine for --exec: 'interp' (tree-walking reference interpreter) or \
-             'compiled' (slot-resolved closure kernels, Sig-memoized).")
+             'compiled' (slot-resolved closure kernels, compiled once per plan).")
   in
   let opt_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (enum [ ("0", Ir.Optimize.O0); ("3", Ir.Optimize.O3) ]) Ir.Optimize.O0
       & info [ "opt" ]
           ~doc:
-            "Optimization level for --engine compiled: 0 (none, counter-exact interpreter \
-             parity), 1 (+LICM, strength reduction), 2 (+fused microkernels), 3 \
-             (+stride-specialized register-tiled microkernel variants).  Outputs are \
-             bitwise-identical at every level.")
+            "Optimization level for --engine compiled: 0 (the reference: counter-exact \
+             interpreter parity) or 3 (LICM, strength reduction and stride-specialized, \
+             register-tiled microkernels).  Outputs are bitwise-identical at both levels.")
   in
   let autotune_flag =
     Arg.(
@@ -588,7 +588,6 @@ let bench_stream_cmd =
       | "compiled" -> `Compiled
       | other -> Fmt.failwith "unknown engine %s (available: interp compiled)" other
     in
-    let opt = Ir.Optimize.level_of_int opt in
     let deadline_ns = Option.map (fun ms -> ms *. 1e6) deadline_ms in
     let concurrent = domains > 1 || deadline_ns <> None in
     let w = bench_workload ~dataset workload in
@@ -928,7 +927,11 @@ let bench_stream_cmd =
        drift by 2x between identical runs, so a regression budget
        computed from two separate invocations is noise, not signal.  The
        hand server gets its own full warming pass first (its job-memo
-       keys are mode-prefixed, disjoint from the tuned server's). *)
+       keys are mode-prefixed, disjoint from the tuned server's).  Each
+       window starts from a finished major collection: otherwise the
+       collector's debt and heap size at the window boundary, which shift
+       with unrelated allocations anywhere in the process, decide which
+       of the two windows pays for the pending major work. *)
     let steady_hand_rps, steady_tuned_rps =
       if (not autotune) || concurrent || batching_active then (0.0, 0.0)
       else begin
@@ -939,6 +942,7 @@ let bench_stream_cmd =
         ignore (Serving.Stream.replay srv_h w stream);
         ignore (Serving.Stream.replay srv w stream);
         let time_one s =
+          Gc.full_major ();
           let t0 = Obs.Trace_sink.now_us () in
           ignore (Serving.Stream.replay s w stream);
           let dt_us = Obs.Trace_sink.now_us () -. t0 in

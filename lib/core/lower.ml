@@ -66,6 +66,9 @@ let is_leaf links (a : Schedule.axis) = Hashtbl.mem links.leaf_ids a.aid
 
 (* ------------------------------------------------------------------ *)
 
+let kernels_c = Obs.Metrics.counter "lower.kernels"
+let guards_inserted_c = Obs.Metrics.counter "lower.guards_inserted"
+
 let lower_impl ?(ranges : (int * Schedule.range_mode) list = []) ?(init = true) ?apply_epilogue
     ?(name_suffix = "") (s : Schedule.t) : kernel =
   (* When a reduction is operation-split, the epilogue (fused activation)
@@ -77,7 +80,7 @@ let lower_impl ?(ranges : (int * Schedule.range_mode) list = []) ?(init = true) 
     ~attrs:[ ("kernel", Obs.Trace_sink.Str (op.Op.name ^ name_suffix)) ]
     "lower"
   @@ fun () ->
-  Obs.Metrics.incr (Obs.Metrics.counter "lower.kernels");
+  Obs.Metrics.incr kernels_c;
   let links = build_links s.leaves in
   let mode_of aid =
     match List.assoc_opt aid ranges with Some m -> m | None -> Schedule.Full
@@ -396,7 +399,7 @@ let lower_impl ?(ranges : (int * Schedule.range_mode) list = []) ?(init = true) 
         let red_guards = mk_guards s.red_roots red_values true_red_extent ~is_red:true in
         let gs = List.map (fun g -> (innermost_leaf g, g)) (data_guards @ red_guards) in
         Obs.Span.add_attr "guards_inserted" (Obs.Trace_sink.Int (List.length gs));
-        Obs.Metrics.add (Obs.Metrics.counter "lower.guards_inserted") (List.length gs);
+        Obs.Metrics.add guards_inserted_c (List.length gs);
         gs)
   in
 

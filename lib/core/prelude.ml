@@ -60,6 +60,14 @@ let dedup defs =
       end)
     defs
 
+(* registered once: a registry lookup takes the registry lock, and
+   [build] / [delta_update] run on the serving path *)
+let dedup_hits_c = Obs.Metrics.counter "prelude.dedup_hits"
+let built_c = Obs.Metrics.counter "prelude.tables_built"
+let delta_c = Obs.Metrics.counter "prelude.tables_delta_updated"
+let shared_c = Obs.Metrics.counter "prelude.tables_shared"
+let entries_h = Obs.Metrics.histogram "prelude.table_entries"
+
 (** Build all aux structures.  [dedup_defs:false] reproduces the redundant
     per-operator computation of the unoptimized prototype (Tables 7–8). *)
 let build ?(dedup_defs = true) (defs : def list) (lenv : Lenfun.env) : built =
@@ -67,9 +75,8 @@ let build ?(dedup_defs = true) (defs : def list) (lenv : Lenfun.env) : built =
   let requested = List.length defs in
   let defs = if dedup_defs then dedup defs else defs in
   let dedup_hits = requested - List.length defs in
-  Obs.Metrics.add (Obs.Metrics.counter "prelude.dedup_hits") dedup_hits;
-  Obs.Metrics.add (Obs.Metrics.counter "prelude.tables_built") (List.length defs);
-  let entries_h = Obs.Metrics.histogram "prelude.table_entries" in
+  Obs.Metrics.add dedup_hits_c dedup_hits;
+  Obs.Metrics.add built_c (List.length defs);
   let tables =
     List.map
       (fun d ->
@@ -130,11 +137,7 @@ let delta_update ?(dedup_defs = true) ~(prev : built) ~(old_lenv : Lenfun.env)
   Obs.Span.with_span "prelude.delta_update" @@ fun () ->
   let requested = List.length defs in
   let defs = if dedup_defs then dedup defs else defs in
-  Obs.Metrics.add (Obs.Metrics.counter "prelude.dedup_hits") (requested - List.length defs);
-  let delta_c = Obs.Metrics.counter "prelude.tables_delta_updated" in
-  let shared_c = Obs.Metrics.counter "prelude.tables_shared" in
-  let built_c = Obs.Metrics.counter "prelude.tables_built" in
-  let entries_h = Obs.Metrics.histogram "prelude.table_entries" in
+  Obs.Metrics.add dedup_hits_c (requested - List.length defs);
   let works : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let tables =
     List.map

@@ -2,11 +2,15 @@
    hoisting here is the paper's §D.7 generalized from auxiliary-structure
    reads to all loop-invariant ragged-offset arithmetic. *)
 
-type level = O0 | O1 | O2 | O3
+type level = O0 | O3
 
-let level_of_int = function 0 -> O0 | 1 -> O1 | 2 -> O2 | _ -> O3
-let int_of_level = function O0 -> 0 | O1 -> 1 | O2 -> 2 | O3 -> 3
-let level_name = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3"
+let level_of_int = function
+  | 0 -> O0
+  | 3 -> O3
+  | n -> invalid_arg (Printf.sprintf "Optimize.level_of_int: %d (levels are 0 and 3)" n)
+
+let int_of_level = function O0 -> 0 | O3 -> 3
+let level_name = function O0 -> "O0" | O3 -> "O3"
 
 type report = { hoisted : int }
 
@@ -163,7 +167,7 @@ let licm (stmt : Stmt.t) : Stmt.t * report =
   (s, { hoisted = !hoisted })
 
 (* ------------------------------------------------------------------ *)
-(* Division-identity elimination (opt >= 3): inside a flattened sum,
+(* Division-identity elimination (O3): inside a flattened sum,
    [(e fdiv c) * c + (e mod c)] is exactly [e] — the IR's floored
    div/mod form a division-algorithm pair (a = q*b + r for any literal
    c <> 0), so the rewrite is value-exact for all integers.  Lowered
@@ -173,7 +177,7 @@ let licm (stmt : Stmt.t) : Stmt.t * report =
    [classify_stride] / [classify_nest], so it runs as the first [O3]
    pass.  Dropping the pair evaluates [e] once where the original
    evaluated it twice — same fault behaviour (it is still evaluated),
-   counter divergence covered by the documented O1+ rule. *)
+   counter divergence covered by the documented O3 rule. *)
 let divmod_elim (stmt : Stmt.t) : Stmt.t * report =
   let eliminated = ref 0 in
   let rec terms (e : Expr.t) =
@@ -244,10 +248,7 @@ type pass = { pname : string; prun : Stmt.t -> Stmt.t * report }
 let licm_pass = { pname = "licm"; prun = licm }
 let divmod_pass = { pname = "divmod"; prun = divmod_elim }
 
-let passes = function
-  | O0 -> []
-  | O1 | O2 -> [ licm_pass ]
-  | O3 -> [ divmod_pass; licm_pass ]
+let passes = function O0 -> [] | O3 -> [ divmod_pass; licm_pass ]
 
 let run ~level (stmt : Stmt.t) : Stmt.t * report =
   List.fold_left
@@ -295,7 +296,7 @@ let rec affine_in v (e : Expr.t) : affine option =
     | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Compile-time stride classification (opt >= 3 variant selection).
+(* Compile-time stride classification (O3 variant selection).
    Conservative integer constant folding: anything that does not fold to
    a literal is a dynamic stride, which the engine must evaluate at
    block-entry time and drive with a strided kernel. *)
@@ -373,7 +374,7 @@ let classify_inner ~var (body : Stmt.t) : inner option =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Two-deep nest classification (opt >= 3): a loop over [var] whose body
+(* Two-deep nest classification (O3): a loop over [var] whose body
    is a serial dot loop sweeping a distinct destination element per
    [var] iteration — the register-tilable gemm/attention shape.  One
    multiplicand's whole address is [var]-invariant (the shared operand,

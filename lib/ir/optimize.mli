@@ -41,17 +41,19 @@
 
 (** Optimization level, threaded from [Exec]/[Serving]/the CLI down to
     {!Runtime.Engine.compile}:
-    [O0] — none (bit- and counter-exact interpreter parity);
-    [O1] — LICM + strength-reduced innermost store loops;
-    [O2] — [O1] + fused microkernels;
-    [O3] — [O2] + stride-specialized, register-tiled microkernel variants
-    selected at closure-build time from {!classify_stride} /
-    {!classify_nest} (outputs stay bitwise-identical; the generic [O2]
-    loop remains the aliasing fallback). *)
-type level = O0 | O1 | O2 | O3
+    [O0] — none: the reference level (bit- and counter-exact interpreter
+    parity);
+    [O3] — divmod elimination + LICM, strength-reduced innermost store
+    loops, and fused microkernels whose stride-specialized,
+    register-tiled variants are selected at closure-build time from
+    {!classify_stride} / {!classify_nest} (outputs stay
+    bitwise-identical; the unfused compiled loop remains the aliasing
+    fallback). *)
+type level = O0 | O3
 
 val level_of_int : int -> level
-(** [0 -> O0], [1 -> O1], [2 -> O2], anything [>= 3 -> O3]. *)
+(** [0 -> O0], [3 -> O3]; raises [Invalid_argument] on any other
+    integer. *)
 
 val int_of_level : level -> int
 val level_name : level -> string
@@ -68,7 +70,8 @@ val licm : Stmt.t -> Stmt.t * report
     bindings created are counted in the [optimize.hoisted] metric). *)
 
 val run : level:level -> Stmt.t -> Stmt.t * report
-(** Run the pass list for [level] ([O0] is the identity). *)
+(** Run the pass list for [level] ([O0] is the identity; [O3] runs
+    divmod elimination, then {!licm}). *)
 
 (* ------------------------------------------------------------------ *)
 (* Analyses used by the engine's strength reduction and microkernels *)

@@ -207,8 +207,6 @@ let rec relevant (s : Stmt.t) : Var.Set.t =
   | Alloc { size; body; buf } ->
       Var.Set.union (Expr.free_vars size) (Var.Set.remove buf (relevant body))
 
-type node = env -> counts
-
 (* Loop-memoisation visibility: every loop-node cost lookup is counted
    process-wide, so the memo's effectiveness on real kernels can be
    asserted instead of assumed.  Tallied per evaluation and added once at
@@ -599,14 +597,6 @@ let eval ?vars p ~ufun =
   let r = ref zero_counts in
   iter_blocks ?vars p ~ufun (fun c -> r := c);
   !r
-
-let compile (params : params) (stmt : Stmt.t) : node =
-  let p = prepare params stmt in
-  fun env ->
-    eval ~vars:env.vars p ~ufun:(fun name ->
-        Option.map
-          (fun f -> { call1 = (fun i -> f [ i ]); calln = f })
-          (Hashtbl.find_opt env.ufuns name))
 
 (** Enumerate the grid: peel leading loops of [grid_kind] (one block per
     index combination) and return each block's environment and body. *)

@@ -45,18 +45,6 @@ val eval_bool : env -> Ir.Expr.t -> bool
     arms, as predication would). *)
 val expr_counts : Ir.Expr.t -> counts
 
-type node = env -> counts
-
-(** Compile a statement into a cost function ({!prepare} + {!eval} over
-    the environment's variables and functions; the loop memos live for
-    one application).  Nested GPU-thread loops consume the lane budget
-    multiplicatively; [Vectorized] loops divide by the SIMD width;
-    loads/stores to [Alloc]ed scratch count as cheap integer ops, not
-    memory traffic.  Every loop-node memo lookup is counted in the
-    {!Obs.Metrics} registry under [cost_model.memo_hits] /
-    [cost_model.memo_misses]. *)
-val compile : params -> Ir.Stmt.t -> node
-
 (** {2 Compile once, evaluate per call}
 
     A {!prog} is a statement compiled once: variables and uninterpreted
@@ -76,7 +64,12 @@ type prog
 (** [prepare ?grid_kind params stmt] — with [~grid_kind], the leading
     loops of that kind (and the lets between them) are peeled exactly as
     {!enumerate_blocks} peels them, and {!iter_blocks} visits one block
-    per index combination; without it the whole statement is one block. *)
+    per index combination; without it the whole statement is one block.
+    Nested GPU-thread loops consume the lane budget multiplicatively;
+    [Vectorized] loops divide by the SIMD width; loads/stores to
+    [Alloc]ed scratch count as cheap integer ops, not memory traffic.
+    Every loop-node memo lookup is counted in the {!Obs.Metrics} registry
+    under [cost_model.memo_hits] / [cost_model.memo_misses]. *)
 val prepare : ?grid_kind:Ir.Stmt.for_kind -> params -> Ir.Stmt.t -> prog
 
 (** Evaluate every block in enumeration order, passing each block's

@@ -184,9 +184,9 @@ type slot = SInt of int | SFloat of int | SBool of int
 type ty = TInt | TFloat | TBool
 
 type ctx = {
-  opt : int;
-  (* optimization level: 0 none, 1 +strength reduction, 2 +microkernels,
-     3 +stride-specialized / register-tiled microkernel variants *)
+  optimize : bool;
+  (* O3: strength reduction and stride-specialized / register-tiled
+     microkernels; false compiles the O0 reference closures *)
   vars : (int, slot) Hashtbl.t;  (* Var.id -> scalar slot *)
   mutable n_int : int;
   mutable n_float : int;
@@ -200,9 +200,9 @@ type ctx = {
   mutable n_ufun : int;
 }
 
-let new_ctx ?(opt = 0) () =
+let new_ctx optimize =
   {
-    opt;
+    optimize;
     vars = Hashtbl.create 32;
     n_int = 0;
     n_float = 0;
@@ -653,7 +653,7 @@ let run_parallel pool (fr : frame) slot m n ?est (cbody : frame -> unit) =
   fr.microkernel_elems <- fr.microkernel_elems + Atomic.get mk_elems
 
 (* ------------------------------------------------------------------ *)
-(* Microkernels (opt >= 2).  An innermost loop whose body matches one of
+(* Microkernels (O3).  An innermost loop whose body matches one of
    the Optimize.classify_inner shapes compiles to a tight float-array loop
    with running (strength-reduced) offsets and a register accumulator — no
    per-element slot traffic, no per-element closure calls, no per-element
@@ -668,12 +668,12 @@ let run_parallel pool (fr : frame) slot m n ?est (cbody : frame -> unit) =
    bulk-added with the same totals; [microkernel_elems] records how many
    elements took this path.
 
-   At opt >= 3 the loop body is selected from the Microkernel registry
-   when the closure is built — Optimize.classify_stride decides between
-   the unit-stride (unrolled / Array.blit) and strided variants, and
+   The loop body is selected from the Microkernel registry when the
+   closure is built — Optimize.classify_stride decides between the
+   unit-stride (unrolled / Array.blit) and strided variants, and
    Optimize.classify_nest upgrades a two-deep dot nest to the
-   register-tiled kernel.  The generic opt-2 loop remains the fallback
-   for aliased destinations.  Each kernel keeps one order-preserving
+   register-tiled kernel.  The unfused compiled loop remains the
+   fallback for aliased destinations.  Each kernel keeps one order-preserving
    accumulator chain per destination element (unrolling never
    reassociates a chain), so outputs stay bitwise-identical. *)
 
@@ -725,50 +725,25 @@ let emit_inner ctx (p : Optimize.inner) :
       let fbb, fbs = compile_affine ctx b_ix in
       let sum = sum_fast op in
       let body : float array -> float array -> float array -> int -> int -> int -> int -> int -> int -> unit =
-        if ctx.opt >= 3 then
-          match (sum, Optimize.classify_stride a_ix, Optimize.classify_stride b_ix) with
-          | None, Optimize.S_unit, Optimize.S_unit ->
-              note_variant "dot.sum_u4";
-              fun darr aarr barr di a0 _astep b0 _bstep n ->
-                Array.unsafe_set darr di
-                  (Microkernel.dot_sum_unit ~a:aarr ~a0 ~b:barr ~b0 ~n
-                     ~init:(Array.unsafe_get darr di))
-          | None, _, _ ->
-              note_variant "dot.sum_s4";
-              fun darr aarr barr di a0 astep b0 bstep n ->
-                Array.unsafe_set darr di
-                  (Microkernel.dot_sum_strided ~a:aarr ~a0 ~astep ~b:barr ~b0 ~bstep ~n
-                     ~init:(Array.unsafe_get darr di))
-          | Some combine, _, _ ->
-              note_variant "dot.combine_s";
-              fun darr aarr barr di a0 astep b0 bstep n ->
-                Array.unsafe_set darr di
-                  (Microkernel.dot_strided ~combine ~a:aarr ~a0 ~astep ~b:barr ~b0 ~bstep
-                     ~n ~init:(Array.unsafe_get darr di))
-        else begin
-          note_variant "dot.generic";
-          match sum with
-          | None ->
-              fun darr aarr barr di a0 astep b0 bstep n ->
-                let acc = ref (Array.unsafe_get darr di) in
-                let ai = ref a0 and bi = ref b0 in
-                for _ = 1 to n do
-                  acc := !acc +. (Array.unsafe_get aarr !ai *. Array.unsafe_get barr !bi);
-                  ai := !ai + astep;
-                  bi := !bi + bstep
-                done;
-                Array.unsafe_set darr di !acc
-          | Some combine ->
-              fun darr aarr barr di a0 astep b0 bstep n ->
-                let acc = ref (Array.unsafe_get darr di) in
-                let ai = ref a0 and bi = ref b0 in
-                for _ = 1 to n do
-                  acc := combine !acc (Array.unsafe_get aarr !ai *. Array.unsafe_get barr !bi);
-                  ai := !ai + astep;
-                  bi := !bi + bstep
-                done;
-                Array.unsafe_set darr di !acc
-        end
+        match (sum, Optimize.classify_stride a_ix, Optimize.classify_stride b_ix) with
+        | None, Optimize.S_unit, Optimize.S_unit ->
+            note_variant "dot.sum_u4";
+            fun darr aarr barr di a0 _astep b0 _bstep n ->
+              Array.unsafe_set darr di
+                (Microkernel.dot_sum_unit ~a:aarr ~a0 ~b:barr ~b0 ~n
+                   ~init:(Array.unsafe_get darr di))
+        | None, _, _ ->
+            note_variant "dot.sum_s4";
+            fun darr aarr barr di a0 astep b0 bstep n ->
+              Array.unsafe_set darr di
+                (Microkernel.dot_sum_strided ~a:aarr ~a0 ~astep ~b:barr ~b0 ~bstep ~n
+                   ~init:(Array.unsafe_get darr di))
+        | Some combine, _, _ ->
+            note_variant "dot.combine_s";
+            fun darr aarr barr di a0 astep b0 bstep n ->
+              Array.unsafe_set darr di
+                (Microkernel.dot_strided ~combine ~a:aarr ~a0 ~astep ~b:barr ~b0 ~bstep ~n
+                   ~init:(Array.unsafe_get darr di))
       in
       fun fallback fr m n ->
         let darr = Array.unsafe_get fr.fbufs dslot in
@@ -798,48 +773,24 @@ let emit_inner ctx (p : Optimize.inner) :
       let fsb, fss = compile_affine ctx src_ix in
       let sum = sum_fast op in
       let body : float array -> float array -> int -> int -> int -> int -> unit =
-        if ctx.opt >= 3 then
-          match (sum, Optimize.classify_stride src_ix) with
-          | None, Optimize.S_unit ->
-              note_variant "reduce1.sum_u4";
-              fun darr sarr di s0 _sstep n ->
-                Array.unsafe_set darr di
-                  (Microkernel.reduce1_sum_unit ~src:sarr ~s0 ~n
-                     ~init:(Array.unsafe_get darr di))
-          | None, _ ->
-              note_variant "reduce1.sum_s";
-              fun darr sarr di s0 sstep n ->
-                Array.unsafe_set darr di
-                  (Microkernel.reduce1_sum_strided ~src:sarr ~s0 ~sstep ~n
-                     ~init:(Array.unsafe_get darr di))
-          | Some combine, _ ->
-              note_variant "reduce1.combine_s";
-              fun darr sarr di s0 sstep n ->
-                Array.unsafe_set darr di
-                  (Microkernel.reduce1_strided ~combine ~src:sarr ~s0 ~sstep ~n
-                     ~init:(Array.unsafe_get darr di))
-        else begin
-          note_variant "reduce1.generic";
-          match sum with
-          | None ->
-              fun darr sarr di s0 sstep n ->
-                let acc = ref (Array.unsafe_get darr di) in
-                let si = ref s0 in
-                for _ = 1 to n do
-                  acc := !acc +. Array.unsafe_get sarr !si;
-                  si := !si + sstep
-                done;
-                Array.unsafe_set darr di !acc
-          | Some combine ->
-              fun darr sarr di s0 sstep n ->
-                let acc = ref (Array.unsafe_get darr di) in
-                let si = ref s0 in
-                for _ = 1 to n do
-                  acc := combine !acc (Array.unsafe_get sarr !si);
-                  si := !si + sstep
-                done;
-                Array.unsafe_set darr di !acc
-        end
+        match (sum, Optimize.classify_stride src_ix) with
+        | None, Optimize.S_unit ->
+            note_variant "reduce1.sum_u4";
+            fun darr sarr di s0 _sstep n ->
+              Array.unsafe_set darr di
+                (Microkernel.reduce1_sum_unit ~src:sarr ~s0 ~n ~init:(Array.unsafe_get darr di))
+        | None, _ ->
+            note_variant "reduce1.sum_s";
+            fun darr sarr di s0 sstep n ->
+              Array.unsafe_set darr di
+                (Microkernel.reduce1_sum_strided ~src:sarr ~s0 ~sstep ~n
+                   ~init:(Array.unsafe_get darr di))
+        | Some combine, _ ->
+            note_variant "reduce1.combine_s";
+            fun darr sarr di s0 sstep n ->
+              Array.unsafe_set darr di
+                (Microkernel.reduce1_strided ~combine ~src:sarr ~s0 ~sstep ~n
+                   ~init:(Array.unsafe_get darr di))
       in
       fun fallback fr m n ->
         let darr = Array.unsafe_get fr.fbufs dslot in
@@ -864,31 +815,19 @@ let emit_inner ctx (p : Optimize.inner) :
       let fdb, fds = compile_affine ctx dst_ix in
       let fsb, fss = compile_affine ctx src_ix in
       let body : float array -> float array -> int -> int -> int -> int -> int -> unit =
-        if ctx.opt >= 3 then
-          match (Optimize.classify_stride dst_ix, Optimize.classify_stride src_ix) with
-          | Optimize.S_unit, Optimize.S_unit ->
-              note_variant "copy.blit";
-              fun darr sarr d0 _dstep s0 _sstep n ->
-                (* blit has memmove semantics; the generic loop forward-
-                   propagates on overlap, so same-array copies take the
-                   order-preserving strided body instead *)
-                if darr != sarr then Microkernel.copy_unit ~dst:darr ~d0 ~src:sarr ~s0 ~n
-                else Microkernel.copy_strided ~dst:darr ~d0 ~dstep:1 ~src:sarr ~s0 ~sstep:1 ~n
-          | _ ->
-              note_variant "copy.strided";
-              fun darr sarr d0 dstep s0 sstep n ->
-                Microkernel.copy_strided ~dst:darr ~d0 ~dstep ~src:sarr ~s0 ~sstep ~n
-        else begin
-          note_variant "copy.generic";
-          (* element order matches the generic loop, so aliasing is fine *)
-          fun darr sarr d0 dstep s0 sstep n ->
-            let di = ref d0 and si = ref s0 in
-            for _ = 1 to n do
-              Array.unsafe_set darr !di (Array.unsafe_get sarr !si);
-              di := !di + dstep;
-              si := !si + sstep
-            done
-        end
+        match (Optimize.classify_stride dst_ix, Optimize.classify_stride src_ix) with
+        | Optimize.S_unit, Optimize.S_unit ->
+            note_variant "copy.blit";
+            fun darr sarr d0 _dstep s0 _sstep n ->
+              (* blit has memmove semantics; the generic loop forward-
+                 propagates on overlap, so same-array copies take the
+                 order-preserving strided body instead *)
+              if darr != sarr then Microkernel.copy_unit ~dst:darr ~d0 ~src:sarr ~s0 ~n
+              else Microkernel.copy_strided ~dst:darr ~d0 ~dstep:1 ~src:sarr ~s0 ~sstep:1 ~n
+        | _ ->
+            note_variant "copy.strided";
+            fun darr sarr d0 dstep s0 sstep n ->
+              Microkernel.copy_strided ~dst:darr ~d0 ~dstep ~src:sarr ~s0 ~sstep ~n
       in
       fun _fallback fr m n ->
         let darr = Array.unsafe_get fr.fbufs dslot in
@@ -909,26 +848,15 @@ let emit_inner ctx (p : Optimize.inner) :
       let fdb, fds = compile_affine ctx dst_ix in
       let fsb, fss = compile_affine ctx src_ix in
       let body : float array -> float array -> int -> int -> int -> int -> int -> unit =
-        if ctx.opt >= 3 then
-          match (Optimize.classify_stride dst_ix, Optimize.classify_stride src_ix) with
-          | Optimize.S_unit, Optimize.S_unit ->
-              note_variant "scale.u4";
-              fun darr sarr d0 _dstep s0 _sstep n ->
-                Microkernel.scale_unit ~dst:darr ~d0 ~src:sarr ~s0 ~factor ~n
-          | _ ->
-              note_variant "scale.strided";
-              fun darr sarr d0 dstep s0 sstep n ->
-                Microkernel.scale_strided ~dst:darr ~d0 ~dstep ~src:sarr ~s0 ~sstep ~factor ~n
-        else begin
-          note_variant "scale.generic";
-          fun darr sarr d0 dstep s0 sstep n ->
-            let di = ref d0 and si = ref s0 in
-            for _ = 1 to n do
-              Array.unsafe_set darr !di (Array.unsafe_get sarr !si *. factor);
-              di := !di + dstep;
-              si := !si + sstep
-            done
-        end
+        match (Optimize.classify_stride dst_ix, Optimize.classify_stride src_ix) with
+        | Optimize.S_unit, Optimize.S_unit ->
+            note_variant "scale.u4";
+            fun darr sarr d0 _dstep s0 _sstep n ->
+              Microkernel.scale_unit ~dst:darr ~d0 ~src:sarr ~s0 ~factor ~n
+        | _ ->
+            note_variant "scale.strided";
+            fun darr sarr d0 dstep s0 sstep n ->
+              Microkernel.scale_strided ~dst:darr ~d0 ~dstep ~src:sarr ~s0 ~sstep ~factor ~n
       in
       fun _fallback fr m n ->
         let darr = Array.unsafe_get fr.fbufs dslot in
@@ -946,7 +874,7 @@ let emit_inner ctx (p : Optimize.inner) :
         fr.microkernel_elems <- fr.microkernel_elems + n
 
 (* [emit_nest ctx ~slot nest] register-tiles a two-deep Sum-dot nest
-   (opt >= 3): four destination elements per pass, the shared operand
+   (O3): four destination elements per pass, the shared operand
    loaded once per reduction step.  Each destination keeps its own
    order-preserving accumulator chain (the chains are independent), so
    tiling cannot perturb float results.  [slot] is the tile variable's
@@ -1443,12 +1371,12 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
       let par = par_ok && (match kind with Stmt.Parallel -> true | _ -> false) in
       with_var ctx var TInt @@ fun slot ->
       let micro =
-        if (not par) && ctx.opt >= 2 then
+        if (not par) && ctx.optimize then
           Option.map (emit_inner ctx) (Optimize.classify_inner ~var body)
         else None
       in
       let tiled =
-        if (not par) && ctx.opt >= 3 && Option.is_none micro then
+        if (not par) && ctx.optimize && Option.is_none micro then
           match Optimize.classify_nest ~var body with
           | Some nest -> (
               (* compiling the substituted nest expressions can hit a
@@ -1490,13 +1418,13 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
               let n = fn fr in
               if n > 0 then tk fr m n
         | None -> (
-            (* strength reduction (opt >= 1): an innermost store loop whose
+            (* strength reduction (O3): an innermost store loop whose
                index is affine in the loop variable becomes a running-offset
                loop — the value closure still runs per element (arbitrary
                expression), but the address tree is evaluated once and the
                per-element bounds checks collapse to two endpoint checks. *)
             let sred =
-              if ctx.opt >= 1 then
+              if ctx.optimize then
                 match body with
                 | Stmt.Store { buf; index; value } ->
                     Option.map (fun ax -> (None, buf, ax, value)) (Optimize.affine_in var index)
@@ -1699,8 +1627,8 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
 (* Public API *)
 
 let compile ?(opt = Optimize.O0) (s : Stmt.t) : compiled =
-  let s = match opt with Optimize.O0 -> s | _ -> fst (Optimize.run ~level:opt s) in
-  let ctx = new_ctx ~opt:(Optimize.int_of_level opt) () in
+  let s = fst (Optimize.run ~level:opt s) in
+  let ctx = new_ctx (opt = Optimize.O3) in
   let entry = compile_stmt ctx ~par_ok:true s in
   { c_layout = finalize ctx; c_entry = entry }
 
@@ -1784,12 +1712,23 @@ let stats fr =
     ("microkernel_elems", fr.microkernel_elems);
   ]
 
+(* registered once: a registry lookup takes the registry lock, and this
+   runs once per kernel per request *)
+let loads_c = Obs.Metrics.counter "engine.loads"
+let stores_c = Obs.Metrics.counter "engine.stores"
+let flops_c = Obs.Metrics.counter "engine.flops"
+let indirect_c = Obs.Metrics.counter "engine.indirect"
+let guards_c = Obs.Metrics.counter "engine.guards"
+let guard_hits_c = Obs.Metrics.counter "engine.guard_hits"
+let hoisted_c = Obs.Metrics.counter "engine.hoisted"
+let mk_elems_c = Obs.Metrics.counter "engine.microkernel_elems"
+
 let flush_metrics fr =
-  Obs.Metrics.add (Obs.Metrics.counter "engine.loads") fr.loads;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.stores") fr.stores;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.flops") fr.flops;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.indirect") fr.indirect;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.guards") fr.guards;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.guard_hits") fr.guard_hits;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.hoisted") fr.hoisted;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.microkernel_elems") fr.microkernel_elems
+  Obs.Metrics.add loads_c fr.loads;
+  Obs.Metrics.add stores_c fr.stores;
+  Obs.Metrics.add flops_c fr.flops;
+  Obs.Metrics.add indirect_c fr.indirect;
+  Obs.Metrics.add guards_c fr.guards;
+  Obs.Metrics.add guard_hits_c fr.guard_hits;
+  Obs.Metrics.add hoisted_c fr.hoisted;
+  Obs.Metrics.add mk_elems_c fr.microkernel_elems

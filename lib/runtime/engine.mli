@@ -16,34 +16,34 @@
     level is differentially comparable against the interpreter
     counter-for-counter and bit-for-bit (see [test/test_engine.ml]).
 
-    {b Optimization levels.}  [compile ~opt] runs the {!Ir.Optimize}
-    pipeline first and enables engine-side specializations.  At every
-    level the {e outputs} stay bitwise-identical to the interpreter; at
-    [O1]/[O2] the counter profile legitimately differs (and two extra
+    {b Optimization levels.}  There are two: [O0], the reference just
+    described, and [O3], the serving level.  [compile ~opt:O3] runs the
+    {!Ir.Optimize} pipeline first and enables the engine-side
+    specializations below.  The {e outputs} stay bitwise-identical to the
+    interpreter; the counter profile legitimately differs (and two extra
     counters appear):
-    - [O1]: LICM preheaders ([hoisted] counts their evaluations; loads
-      and indirect accesses inside hoisted expressions are now counted
-      once per preheader entry instead of once per iteration), plus
+    - LICM preheaders ([hoisted] counts their evaluations; loads and
+      indirect accesses inside hoisted expressions are counted once per
+      preheader entry instead of once per iteration), plus
       strength-reduced innermost store loops (running offsets; bounds
       checks collapse to loop-endpoint checks, so counter divergence on
       error paths only).
-    - [O2]: innermost dot / reduction / copy / scale loops fuse into
-      tight float-array microkernels ([microkernel_elems] counts the
-      elements they process; bulk counter accounting with the same
-      success-path totals, except address-tree traffic which follows the
-      LICM rule above).  A microkernel whose destination aliases an input
-      falls back to the generic loop at runtime, preserving parity.
-    - [O3]: the microkernel {e body} is selected from the {!Microkernel}
-      registry when the closure is built — {!Ir.Optimize.classify_stride}
-      picks unit-stride unrolled / [Array.blit] variants over strided
-      fallbacks, and {!Ir.Optimize.classify_nest} register-tiles a
-      two-deep sum-dot nest (four destination chains per pass, the shared
-      operand loaded once per reduction step).  Selection is per compiled
-      loop, never per call ([engine.mk_variant.*] counters record it);
-      every variant keeps one order-preserving accumulator chain per
-      destination element, so outputs remain bitwise-identical.  Aliased
+    - Innermost dot / reduction / copy / scale loops fuse into
+      microkernels ([microkernel_elems] counts the elements they
+      process; bulk counter accounting with the same success-path
+      totals, except address-tree traffic which follows the LICM rule
+      above).  The microkernel {e body} is selected from the
+      {!Microkernel} registry when the closure is built —
+      {!Ir.Optimize.classify_stride} picks unit-stride unrolled /
+      [Array.blit] variants over strided fallbacks, and
+      {!Ir.Optimize.classify_nest} register-tiles a two-deep sum-dot nest
+      (four destination chains per pass, the shared operand loaded once
+      per reduction step).  Selection is per compiled loop, never per
+      call ([engine.mk_variant.*] counters record it); every variant
+      keeps one order-preserving accumulator chain per destination
+      element, so outputs remain bitwise-identical.  Aliased
       destinations, zero destination strides and zero-trip reductions
-      fall back to the generic loop at runtime.
+      fall back to the unfused compiled loop at runtime.
 
     [Alloc] scratch buffers come from {!Buffer.Arena.global} and return
     to it when the body finishes, so steady-state reruns allocate no

@@ -352,16 +352,23 @@ and exec_multicore ?(domains = 4) env (s : Stmt.t) : unit =
   | Seq l -> List.iter (exec_multicore ~domains env) l
   | s -> exec env s
 
+let loads_c = Obs.Metrics.counter "interp.loads"
+let stores_c = Obs.Metrics.counter "interp.stores"
+let flops_c = Obs.Metrics.counter "interp.flops"
+let indirect_c = Obs.Metrics.counter "interp.indirect"
+let guards_c = Obs.Metrics.counter "interp.guards"
+let guard_hits_c = Obs.Metrics.counter "interp.guard_hits"
+
 (** Add the environment's statistics counters into the process-wide
     metrics registry (under [interp.*]).  Called once per run by
     {!Cora.Exec.run} and the CLI; idempotence is the caller's concern. *)
 let flush_metrics env =
-  Obs.Metrics.add (Obs.Metrics.counter "interp.loads") env.loads;
-  Obs.Metrics.add (Obs.Metrics.counter "interp.stores") env.stores;
-  Obs.Metrics.add (Obs.Metrics.counter "interp.flops") env.flops;
-  Obs.Metrics.add (Obs.Metrics.counter "interp.indirect") env.indirect;
-  Obs.Metrics.add (Obs.Metrics.counter "interp.guards") env.guards;
-  Obs.Metrics.add (Obs.Metrics.counter "interp.guard_hits") env.guard_hits
+  Obs.Metrics.add loads_c env.loads;
+  Obs.Metrics.add stores_c env.stores;
+  Obs.Metrics.add flops_c env.flops;
+  Obs.Metrics.add indirect_c env.indirect;
+  Obs.Metrics.add guards_c env.guards;
+  Obs.Metrics.add guard_hits_c env.guard_hits
 
 (** Snapshot of the statistics counters as an association list, in a fixed
     order — lets differential tests compare whole runs structurally. *)

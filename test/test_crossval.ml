@@ -22,9 +22,15 @@ let both (kernels : Lower.kernel list) ~lenv ~(tensors : Ragged.t list) =
       | Prelude.Scalar n -> CM.bind_ufun cenv name (fun _ -> n)
       | Prelude.Table a -> CM.bind_ufun cenv name (function [ i ] -> a.(i) | _ -> assert false))
     built.Prelude.tables;
+  let ufun name =
+    Option.map
+      (fun f -> { CM.call1 = (fun i -> f [ i ]); calln = f })
+      (Hashtbl.find_opt cenv.CM.ufuns name)
+  in
   let model =
     List.fold_left
-      (fun acc (k : Lower.kernel) -> acc +. (CM.compile raw_params k.Lower.body cenv).CM.flops)
+      (fun acc (k : Lower.kernel) ->
+        acc +. (CM.eval (CM.prepare raw_params k.Lower.body) ~ufun).CM.flops)
       0.0 kernels
   in
   (float_of_int env.Runtime.Interp.flops, model)

@@ -85,10 +85,18 @@ let flop_body buf =
 
 let params = { CM.lanes = 4; vec_width = 2 }
 
+(* one-argument ufuns by name, resolved the way Launch and the tuner do *)
+let ufun_of ufuns name =
+  Option.map
+    (fun f -> { CM.call1 = f; calln = (function [ i ] -> f i | _ -> assert false) })
+    (List.assoc_opt name ufuns)
+
+let counts ?(ufuns = []) s = CM.eval (CM.prepare params s) ~ufun:(ufun_of ufuns)
+
 let test_counts_simple_nest () =
   let buf = Var.fresh "b" in
   let s = count_loop (Expr.int 10) (count_loop (Expr.int 5) (flop_body buf)) in
-  let c = CM.compile params s (CM.env_create ()) in
+  let c = counts s in
   Alcotest.(check (float 1e-9)) "flops" 50.0 c.CM.flops;
   Alcotest.(check (float 1e-9)) "loads" 50.0 c.CM.loads;
   Alcotest.(check (float 1e-9)) "stores" 50.0 c.CM.stores
@@ -99,23 +107,21 @@ let test_counts_variable_extent () =
   let i = Var.fresh "i" in
   let inner = count_loop (Expr.ufun "lens" [ Expr.var i ]) (flop_body buf) in
   let s = Stmt.For { var = i; min = Expr.zero; extent = Expr.int 4; kind = Serial; body = inner } in
-  let env = CM.env_create () in
   let lens = [| 3; 1; 4; 2 |] in
-  CM.bind_ufun env "lens" (function [ x ] -> lens.(x) | _ -> assert false);
-  let c = CM.compile params s env in
+  let c = counts ~ufuns:[ ("lens", fun x -> lens.(x)) ] s in
   Alcotest.(check (float 1e-9)) "ragged trip count" 10.0 c.CM.flops
 
 let test_counts_vectorized_and_threads () =
   let buf = Var.fresh "b" in
   let v = count_loop ~kind:Stmt.Vectorized (Expr.int 8) (flop_body buf) in
-  let c = CM.compile params v (CM.env_create ()) in
+  let c = counts v in
   Alcotest.(check (float 1e-9)) "vector lanes divide" 4.0 c.CM.flops;
   (* nested thread loops consume the lane budget multiplicatively *)
   let t =
     count_loop ~kind:Stmt.Gpu_thread (Expr.int 2)
       (count_loop ~kind:Stmt.Gpu_thread (Expr.int 2) (flop_body buf))
   in
-  let c = CM.compile params t (CM.env_create ()) in
+  let c = counts t in
   Alcotest.(check (float 1e-9)) "4 threads over 4 lanes" 1.0 c.CM.flops
 
 let test_counts_guard_branches () =
@@ -125,7 +131,7 @@ let test_counts_guard_branches () =
     Stmt.If (Expr.lt (Expr.var i) (Expr.int 3), flop_body buf, None)
   in
   let s = Stmt.For { var = i; min = Expr.zero; extent = Expr.int 10; kind = Serial; body } in
-  let c = CM.compile params s (CM.env_create ()) in
+  let c = counts s in
   Alcotest.(check (float 1e-9)) "branch per iteration" 10.0 c.CM.branches;
   Alcotest.(check (float 1e-9)) "guarded flops" 3.0 c.CM.flops
 
@@ -141,7 +147,7 @@ let test_local_scratch_not_traffic () =
             { buf = scratch; index = Expr.zero; value = Expr.load scratch Expr.zero };
       }
   in
-  let c = CM.compile params (count_loop (Expr.int 7) body) (CM.env_create ()) in
+  let c = counts (count_loop (Expr.int 7) body) in
   Alcotest.(check (float 1e-9)) "no loads" 0.0 c.CM.loads;
   Alcotest.(check (float 1e-9)) "no stores" 0.0 c.CM.stores
 
@@ -152,9 +158,7 @@ let test_indirect_counted () =
     Stmt.Store { buf; index = Expr.ufun "aux" [ Expr.var i ]; value = Expr.float 0.0 }
   in
   let s = Stmt.For { var = i; min = Expr.zero; extent = Expr.int 6; kind = Serial; body } in
-  let env = CM.env_create () in
-  CM.bind_ufun env "aux" (function [ x ] -> x | _ -> assert false);
-  let c = CM.compile params s env in
+  let c = counts ~ufuns:[ ("aux", fun x -> x) ] s in
   Alcotest.(check (float 1e-9)) "indirect accesses" 6.0 c.CM.indirect
 
 let test_enumerate_blocks () =
@@ -186,10 +190,9 @@ let test_memo_consistency () =
   let i = Var.fresh "i" in
   let inner = count_loop (Expr.ufun "lens" [ Expr.var i ]) (flop_body buf) in
   let s = Stmt.For { var = i; min = Expr.zero; extent = Expr.int 4; kind = Serial; body = inner } in
-  let env = CM.env_create () in
-  CM.bind_ufun env "lens" (function [ x ] -> x * 2 | _ -> assert false);
-  let node = CM.compile params s in
-  let c1 = node env and c2 = node env in
+  let p = CM.prepare params s in
+  let ufun = ufun_of [ ("lens", fun x -> x * 2) ] in
+  let c1 = CM.eval p ~ufun and c2 = CM.eval p ~ufun in
   Alcotest.(check (float 1e-9)) "memoised result stable" c1.CM.flops c2.CM.flops;
   Alcotest.(check (float 1e-9)) "value correct" 12.0 c1.CM.flops
 

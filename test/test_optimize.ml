@@ -1,12 +1,12 @@
-(* The optimization pipeline's contract: at every level (O0/O1/O2/O3),
-   serial or multicore, the compiled engine's *outputs* are
-   bitwise-identical to the reference interpreter's.  (Counter parity is
-   an O0-only contract, covered by test_engine.ml; O1+ legitimately shift
-   counter accounting — see lib/ir/optimize.mli.)  Plus unit tests of
-   LICM, the dot microkernels (including O3's register-tiled nest, its
-   aliasing fallback, stride classification and divmod elimination),
-   weighted chunk balancing, the interpreter's ufun cache and the buffer
-   arena. *)
+(* The optimization pipeline's contract: at both levels (O0/O3), serial
+   or multicore, the compiled engine's *outputs* are bitwise-identical to
+   the reference interpreter's.  (Counter parity is an O0-only contract,
+   covered by test_engine.ml; O3 legitimately shifts counter accounting —
+   see lib/ir/optimize.mli.)  Plus unit tests of the level encoding, LICM,
+   the dot microkernels (including O3's register-tiled nest, its aliasing
+   fallback, stride classification and divmod elimination), weighted
+   chunk balancing, the interpreter's ufun cache, the buffer arena and
+   the metric handles hoisted out of the serving path. *)
 
 open Cora
 
@@ -144,10 +144,10 @@ let differential d =
       match d.bind with
       | Par -> agree (name ^ " multicore") (run_once ~opt kernel a o ~engine:`Compiled ~multicore:true)
       | No_bind | Gpu -> true)
-    [ Ir.Optimize.O0; Ir.Optimize.O1; Ir.Optimize.O2; Ir.Optimize.O3 ]
+    [ Ir.Optimize.O0; Ir.Optimize.O3 ]
 
 let prop_differential =
-  QCheck.Test.make ~count:150 ~name:"O0/O1/O2/O3 outputs == interpreter (bitwise)"
+  QCheck.Test.make ~count:150 ~name:"O0/O3 outputs == interp (bitwise)"
     (QCheck.make ~print:print_decision decision_gen)
     differential
 
@@ -176,10 +176,25 @@ let test_skewed_parallel_differential () =
     (fun (label, opt, mc) ->
       Alcotest.(check bool) (label ^ " bitwise") true (bits (go `Compiled opt mc) = bits ref_out))
     [ ("O0 mc", Ir.Optimize.O0, true);
-      ("O2 serial", Ir.Optimize.O2, false);
-      ("O2 mc", Ir.Optimize.O2, true);
       ("O3 serial", Ir.Optimize.O3, false);
       ("O3 mc", Ir.Optimize.O3, true) ]
+
+(* Two levels: 0 and 3 round-trip, every other integer is rejected
+   rather than silently served at some level. *)
+let test_level_of_int () =
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        (Ir.Optimize.level_name l ^ " round-trips")
+        true
+        (Ir.Optimize.level_of_int (Ir.Optimize.int_of_level l) = l))
+    [ Ir.Optimize.O0; Ir.Optimize.O3 ];
+  List.iter
+    (fun n ->
+      match Ir.Optimize.level_of_int n with
+      | _ -> Alcotest.failf "level_of_int %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 1; 2; -1; 7 ]
 
 (* ------------------------------------------------------------------ *)
 (* LICM: the vgemm kernel re-reads its ragged-dimension ufuns in every
@@ -204,7 +219,7 @@ let test_engine_hoisted_counter () =
   let before = Obs.Metrics.value (Obs.Metrics.counter "engine.hoisted") in
   let w, stream, _ = vgemm_job () in
   let srv =
-    Serving.Server.create ~execute:true ~engine:`Compiled ~opt:Ir.Optimize.O1 ()
+    Serving.Server.create ~execute:true ~engine:`Compiled ~opt:Ir.Optimize.O3 ()
   in
   ignore (Serving.Stream.replay srv w stream);
   let after = Obs.Metrics.value (Obs.Metrics.counter "engine.hoisted") in
@@ -228,14 +243,14 @@ let rec has_dot (s : Ir.Stmt.t) : bool =
 let test_vgemm_inner_is_dot () =
   let _, _, job = vgemm_job () in
   let k = List.hd job.Serving.Workload.kernels in
-  let opt, _ = Ir.Optimize.run ~level:Ir.Optimize.O2 k.Lower.body in
+  let opt, _ = Ir.Optimize.run ~level:Ir.Optimize.O3 k.Lower.body in
   Alcotest.(check bool) "vgemm inner loop classifies as dot" true (has_dot opt)
 
 let test_vgemm_microkernel_fires () =
   let before = Obs.Metrics.value (Obs.Metrics.counter "engine.microkernel_elems") in
   let w, stream, _ = vgemm_job () in
   let srv =
-    Serving.Server.create ~execute:true ~engine:`Compiled ~opt:Ir.Optimize.O2 ()
+    Serving.Server.create ~execute:true ~engine:`Compiled ~opt:Ir.Optimize.O3 ()
   in
   ignore (Serving.Stream.replay srv w stream);
   let after = Obs.Metrics.value (Obs.Metrics.counter "engine.microkernel_elems") in
@@ -272,11 +287,11 @@ let test_dot_microkernel_direct () =
     (fc.(0), List.assoc "microkernel_elems" (E.stats fr))
   in
   let v0, mk0 = run Ir.Optimize.O0 in
-  let v2, mk2 = run Ir.Optimize.O2 in
+  let v3, mk3 = run Ir.Optimize.O3 in
   Alcotest.(check int) "O0 takes no microkernel" 0 mk0;
-  Alcotest.(check int) "O2 processes all elements" 8 mk2;
+  Alcotest.(check int) "O3 processes all elements" 8 mk3;
   Alcotest.(check bool) "bitwise equal" true
-    (Int64.bits_of_float v0 = Int64.bits_of_float v2)
+    (Int64.bits_of_float v0 = Int64.bits_of_float v3)
 
 (* ------------------------------------------------------------------ *)
 (* O3: register-tiled dot nests, stride classes, divmod elimination *)
@@ -350,25 +365,23 @@ let run_tiled opt =
 
 (* The tiled path must bind the masked register-tiled variant, agree with
    O0 bitwise (including the all-zero-chain epilogue and the untouched
-   guard-false cell), and reproduce the generic counter totals exactly —
-   hoisting the endpoint bounds checks out of the chain bodies moves no
-   accounting (the satellite-1 contract). *)
+   guard-false cell), and reproduce O0's counter totals exactly — the nest
+   reads no prelude tables, so LICM moves no loads, and hoisting the
+   endpoint bounds checks out of the chain bodies moves no accounting. *)
 let test_o3_tiled_nest () =
   let before = mk_variant "dot.tile4_masked" in
-  let o0, _ = run_tiled Ir.Optimize.O0 in
-  let o2, s2 = run_tiled Ir.Optimize.O2 in
+  let o0, s0 = run_tiled Ir.Optimize.O0 in
   let o3, s3 = run_tiled Ir.Optimize.O3 in
   Alcotest.(check bool) "tile4_masked variant bound" true
     (mk_variant "dot.tile4_masked" > before);
   Alcotest.(check bool) "O3 actually tiles" true
     (List.assoc "microkernel_elems" s3 > 0);
-  Alcotest.(check bool) "O0 = O2 bitwise" true (bits o2 = bits o0);
   Alcotest.(check bool) "O0 = O3 bitwise" true (bits o3 = bits o0);
   List.iter
     (fun key ->
       Alcotest.(check int)
         (key ^ " totals unchanged by tiling")
-        (List.assoc key s2) (List.assoc key s3))
+        (List.assoc key s0) (List.assoc key s3))
     [ "loads"; "stores"; "flops"; "guards"; "guard_hits" ]
 
 (* Destination aliasing an operand array is only detectable at run time;
@@ -590,6 +603,28 @@ let test_arena_negative_raises () =
   Alcotest.check_raises "negative size raises like Array.make"
     (Invalid_argument "Array.make") (fun () -> ignore (Arena.acquire t (-1)))
 
+(* ------------------------------------------------------------------ *)
+(* Metric handles registered at module initialisation must keep counting
+   after a registry reset (reset zeroes cells in place). *)
+
+let test_handles_survive_reset () =
+  Obs.Metrics.reset ();
+  let w, stream, _ = vgemm_job () in
+  let srv = Serving.Server.create ~execute:true ~engine:`Compiled ~opt:Ir.Optimize.O3 () in
+  ignore (Serving.Stream.replay srv w stream);
+  let kernel, a, o =
+    lower_with_decision
+      { storage_pad = 1; loop_pad = 1; fuse = false; fsplit = None; split1 = None;
+        split2 = None; rsplit = None; elide = false; hoist = false; bind = No_bind }
+  in
+  ignore (run_once kernel a o ~engine:`Interp ~multicore:false);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " advanced") true
+        (Obs.Metrics.value (Obs.Metrics.counter name) > 0))
+    [ "engine.loads"; "engine.flops"; "engine.microkernel_elems"; "interp.loads";
+      "prelude.tables_built"; "lower.kernels" ]
+
 let () =
   Alcotest.run "optimize"
     [
@@ -599,6 +634,7 @@ let () =
           Alcotest.test_case "skewed lens, weighted chunks" `Quick
             test_skewed_parallel_differential;
         ] );
+      ("levels", [ Alcotest.test_case "level_of_int" `Quick test_level_of_int ]);
       ( "licm",
         [
           Alcotest.test_case "vgemm hoists" `Quick test_licm_hoists_on_vgemm;
@@ -631,4 +667,6 @@ let () =
           Alcotest.test_case "reuse + size classes" `Quick test_arena_reuse;
           Alcotest.test_case "negative size" `Quick test_arena_negative_raises;
         ] );
+      ( "metrics",
+        [ Alcotest.test_case "handles survive reset" `Quick test_handles_survive_reset ] );
     ]
