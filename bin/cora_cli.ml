@@ -379,6 +379,12 @@ let trace_cmd =
 
 let bench_stream_workloads = [ "fig1"; "vgemm"; "trmm"; "encoder"; "decode" ]
 
+(* In-process wall-clock pairs (steady-state goodput, decode prelude)
+   alternate their two sides and report per-side medians. *)
+let median l = Obs.Metrics.percentile_of (Array.of_list l) 50.0
+let steady_windows = 5
+let decode_reps = 3
+
 (* Bench-scale adapters: paper-scale vgemm/encoder instances are far too
    large for the reference interpreter, so execution defaults to off and
    the interp-friendly workloads use shrunken dimensions (raggedness
@@ -931,7 +937,10 @@ let bench_stream_cmd =
        window starts from a finished major collection: otherwise the
        collector's debt and heap size at the window boundary, which shift
        with unrelated allocations anywhere in the process, decide which
-       of the two windows pays for the pending major work. *)
+       of the two windows pays for the pending major work.  The two
+       servers alternate over [steady_windows] windows each and the
+       medians are reported, so neither side always runs first or after
+       the other's garbage. *)
     let steady_hand_rps, steady_tuned_rps =
       if (not autotune) || concurrent || batching_active then (0.0, 0.0)
       else begin
@@ -948,9 +957,12 @@ let bench_stream_cmd =
           let dt_us = Obs.Trace_sink.now_us () -. t0 in
           if dt_us > 0.0 then float_of_int requests /. (dt_us *. 1e-6) else 0.0
         in
-        let h = time_one srv_h in
-        let t = time_one srv in
-        (h, t)
+        let hs = ref [] and ts = ref [] in
+        for _ = 1 to steady_windows do
+          hs := time_one srv_h :: !hs;
+          ts := time_one srv :: !ts
+        done;
+        (median !hs, median !ts)
       end
     in
     let json =
@@ -1074,13 +1086,14 @@ let bench_stream_cmd =
           let mean_waste =
             if !waste_n = 0 then 0.0 else !waste_sum /. float_of_int !waste_n
           in
-          (* Back-to-back in-process pair: a serial trace replay with the
-             delta path against the same workload stripped of
-             [prev_tables] (full rebuild per step).  Model ns is
-             deterministic (driven by the built work fields); wall us is
-             informational.  Steady state = decode steps >= 2 — the
-             prefill and the first decode step build from scratch in both
-             modes. *)
+          (* In-process pair: a serial trace replay with the delta path
+             against the same workload stripped of [prev_tables] (full
+             rebuild per step).  Model ns is deterministic (driven by the
+             built work fields) and must repeat exactly; wall us is
+             measured over [decode_reps] alternating repetitions of each
+             side and reported as medians.  Steady state = decode steps
+             >= 2 — the prefill and the first decode step build from
+             scratch in both modes. *)
           let steady_sum wl =
             Serving.Server.reset_caches ();
             let s =
@@ -1103,10 +1116,21 @@ let bench_stream_cmd =
               rs;
             (!model, !wall, !n)
           in
-          let delta_model, delta_wall, steady_n = steady_sum w in
-          let rebuild_model, rebuild_wall, _ =
-            steady_sum { w with Serving.Workload.prev_tables = None }
+          let rebuild_w = { w with Serving.Workload.prev_tables = None } in
+          let reps =
+            List.init decode_reps (fun _ ->
+                let d = steady_sum w in
+                (d, steady_sum rebuild_w))
           in
+          let (delta_model, _, steady_n), (rebuild_model, _, _) = List.hd reps in
+          List.iter
+            (fun ((dm, _, dn), (rm, _, _)) ->
+              if dm <> delta_model || rm <> rebuild_model || dn <> steady_n then
+                Fmt.failwith "decode: modeled prelude cost differs between repetitions")
+            reps;
+          let delta_wall = median (List.map (fun ((_, dw, _), _) -> dw) reps) in
+          let rebuild_wall = median (List.map (fun (_, (_, rw, _)) -> rw) reps) in
+          let wall_ratio = if rebuild_wall > 0.0 then delta_wall /. rebuild_wall else 0.0 in
           let speedup = if delta_model > 0.0 then rebuild_model /. delta_model else 0.0 in
           let dj =
             Obs.Json.Obj
@@ -1125,6 +1149,7 @@ let bench_stream_cmd =
                 ("prelude_model_speedup", Obs.Json.Float speedup);
                 ("prelude_delta_wall_us", Obs.Json.Float delta_wall);
                 ("prelude_rebuild_wall_us", Obs.Json.Float rebuild_wall);
+                ("prelude_wall_ratio", Obs.Json.Float wall_ratio);
                 ("mean_step_padding_waste_frac", Obs.Json.Float mean_waste);
               ]
           in

@@ -7,8 +7,9 @@
     padded dense layouts — the runtime counterpart of the paper's
     AddPad/RemovePad operators.  Single-element access ({!get}/{!set})
     goes through {!offset}; every bulk traversal ({!iter_indices},
-    {!fill}, {!pack}, {!unpack}) is one row-major offset walk that
-    carries the flat offset along instead of recomputing it per element. *)
+    {!fill}, {!pack}, {!unpack}) is one row-major offset walk
+    ({!iter_rows}) that carries the flat offset along instead of
+    recomputing it per element. *)
 
 type t = {
   tensor : Tensor.t;
@@ -116,7 +117,7 @@ let set r idx v = Runtime.Buffer.set_float r.buf (offset r idx) v
    own value: nothing inner depends on it).  Length functions are looked
    up once per call.  Prefix reads and buffer writes stay bounds-checked,
    so a declaration {!offset} rejects is rejected here too. *)
-let walk r (row : int array -> int -> int -> unit) =
+let iter_rows r (row : int array -> int -> int -> unit) =
   let t = r.tensor in
   let n = Tensor.rank t in
   let exts = Array.of_list t.Tensor.extents in
@@ -174,7 +175,7 @@ let walk r (row : int array -> int -> int -> unit) =
   in
   if n = 0 then row idx 0 1 else go 0 0
 
-(* The multi-index of element [v] of the run [walk] hands [row]. *)
+(* The multi-index of element [v] of the run [iter_rows] hands [row]. *)
 let index_at idx v =
   let rec go j acc = if j < 0 then acc else go (j - 1) (idx.(j) :: acc) in
   let n = Array.length idx in
@@ -182,7 +183,7 @@ let index_at idx v =
 
 (** Every valid multi-index with its flat offset, in row-major order. *)
 let iter_offsets r (f : int list -> int -> unit) =
-  walk r (fun idx base len ->
+  iter_rows r (fun idx base len ->
       for v = 0 to len - 1 do
         f (index_at idx v) (base + v)
       done)
@@ -194,7 +195,7 @@ let iter_indices r (f : int list -> unit) = iter_offsets r (fun idx _ -> f idx)
     stays zero). *)
 let fill r f =
   let a = Runtime.Buffer.floats r.buf in
-  walk r (fun idx base len ->
+  iter_rows r (fun idx base len ->
       for v = 0 to len - 1 do
         a.(base + v) <- f (index_at idx v)
       done)
@@ -224,9 +225,9 @@ let dense_shape r =
              Shape.pad_to !m t.Tensor.pads.(i))
        exts)
 
-(* [row] for {!walk} moving each innermost run between ragged storage and
-   the dense row-major array of [shape] (the {!dense_shape}): [copy
-   storage dense len] gets the run's start in both. *)
+(* [row] for {!iter_rows} moving each innermost run between ragged
+   storage and the dense row-major array of [shape] (the {!dense_shape}):
+   [copy storage dense len] gets the run's start in both. *)
 let dense_rows shape copy =
   let shape = Array.of_list shape in
   let n = Array.length shape in
@@ -241,7 +242,7 @@ let dense_rows shape copy =
     the RemovePad operator. *)
 let pack r (dense : float array) =
   let a = Runtime.Buffer.floats r.buf in
-  walk r (dense_rows (dense_shape r) (fun s d len -> Array.blit dense d a s len))
+  iter_rows r (dense_rows (dense_shape r) (fun s d len -> Array.blit dense d a s len))
 
 (** Unpack ragged storage into a dense row-major array, zero elsewhere —
     the AddPad operator. *)
@@ -249,5 +250,5 @@ let unpack r : float array =
   let a = Runtime.Buffer.floats r.buf in
   let shape = dense_shape r in
   let dense = Array.make (List.fold_left ( * ) 1 shape) 0.0 in
-  walk r (dense_rows shape (fun s d len -> Array.blit a s dense d len));
+  iter_rows r (dense_rows shape (fun s d len -> Array.blit a s dense d len));
   dense

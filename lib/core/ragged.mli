@@ -3,12 +3,13 @@
     padding), numeric offsets mirroring {!Storage.lower}, and conversions
     to/from fully padded dense layouts (the AddPad/RemovePad operators).
 
-    Bulk traversals ({!iter_offsets}, {!iter_indices}, {!fill}, {!pack},
-    {!unpack}) share one row-major {e offset walk}: it resolves each
-    dimension's layout once per call (a memoized prefix sum for a dim with
-    ragged dependents, a stride computed once per outer assignment for any
-    other) and moves the innermost dimension as a contiguous run, so no
-    element pays the per-index {!offset} computation. *)
+    Bulk traversals ({!iter_rows}, {!iter_offsets}, {!iter_indices},
+    {!fill}, {!pack}, {!unpack}) share one row-major {e offset walk}: it
+    resolves each dimension's layout once per call (a memoized prefix sum
+    for a dim with ragged dependents, a stride computed once per outer
+    assignment for any other) and moves the innermost dimension as a
+    contiguous run, so no element pays the per-index {!offset}
+    computation. *)
 
 type t = {
   tensor : Tensor.t;
@@ -48,6 +49,14 @@ val set : t -> int list -> float -> unit
     offset (equal to {!offset}), in row-major order.  A declaration
     {!offset} rejects is rejected here too. *)
 val iter_offsets : t -> (int list -> int -> unit) -> unit
+
+(** The offset walk one innermost run at a time: [row idx base len] for
+    every run of the valid region, in row-major order.  The run's outer
+    indices are [idx.(0 .. n-2)] for a rank-[n] tensor (slot [n-1] is
+    unspecified; the array is reused between calls), and its innermost
+    index [v] in [0, len) lives at flat offset [base + v].  A rank-0
+    tensor is one run of length 1 at offset 0 with an empty [idx]. *)
+val iter_rows : t -> (int array -> int -> int -> unit) -> unit
 
 (** Iterate over every valid (unpadded) multi-index, in row-major order. *)
 val iter_indices : t -> (int list -> unit) -> unit

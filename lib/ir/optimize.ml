@@ -240,6 +240,97 @@ let divmod_elim (stmt : Stmt.t) : Stmt.t * report =
   (s, { hoisted = 0 })
 
 (* ------------------------------------------------------------------ *)
+(* Index-set splitting (O3): the paper's operation splitting applied to a
+   condition inside a loop.  A loop whose whole body is
+   [d[..] = (v cmp e) ? x : y], with [v] the loop variable and [e]
+   v-invariant, runs [x] on one contiguous part of its range and [y] on
+   the rest; splitting the range at the point where the condition flips
+   leaves two select-free loops, which the engine's copy/scale
+   microkernels can take.  Iterations run in the original order over the
+   original range, and [Select] never evaluates its untaken branch, so
+   the outputs are bitwise the unsplit loop's.  [e] is evaluated once at
+   the split point, speculatively when the range is empty — the same
+   trade LICM makes, so it must be integer-pure under the in-scope int
+   variables. *)
+
+(* [v cmp e] as the cut point of the range and whether the select's true
+   branch runs below it ([v < e] holds exactly on [v < cut]). *)
+let cut_of var (c : Expr.t) =
+  let norm =
+    match c with
+    | Expr.Cmp (op, Expr.Var u, e) when Var.equal u var -> Some (op, e)
+    | Expr.Cmp (op, e, Expr.Var u) when Var.equal u var ->
+        let flip : Expr.cmpop -> Expr.cmpop = function
+          | Lt -> Gt
+          | Le -> Ge
+          | Gt -> Lt
+          | Ge -> Le
+          | op -> op
+        in
+        Some (flip op, e)
+    | _ -> None
+  in
+  match norm with
+  | Some (Expr.Lt, e) -> Some (e, true)
+  | Some (Expr.Le, e) -> Some (Expr.add e Expr.one, true)
+  | Some (Expr.Gt, e) -> Some (Expr.add e Expr.one, false)
+  | Some (Expr.Ge, e) -> Some (e, false)
+  | _ -> None
+
+let split_c = Obs.Metrics.counter "optimize.select_splits"
+
+let select_split (stmt : Stmt.t) : Stmt.t * report =
+  let splits = ref 0 in
+  let rec go intvars (s : Stmt.t) : Stmt.t =
+    match s with
+    | Stmt.For ({ var; body = Stmt.Store { buf; index; value = Expr.Select (c, x, y) }; _ } as r)
+      -> (
+        match cut_of var c with
+        | Some (e, x_first) when (not (Expr.uses_var var e)) && int_pure intvars e ->
+            incr splits;
+            let lo = Var.fresh "lo" and hi = Var.fresh "hi" and cut = Var.fresh "cut" in
+            let intvars = List.fold_right Var.Set.add [ lo; hi; cut ] intvars in
+            (* the second part binds a fresh copy of the loop variable,
+               so the two loops never share a binder *)
+            let part v from upto value =
+              let body =
+                Stmt.subst (Var.Map.singleton var (Expr.Var v)) (Stmt.Store { buf; index; value })
+              in
+              go intvars
+                (Stmt.For
+                   { r with var = v; min = Expr.Var from;
+                     extent = Expr.sub (Expr.Var upto) (Expr.Var from); body })
+            in
+            let first, second = if x_first then (x, y) else (y, x) in
+            Stmt.Let_stmt
+              ( lo,
+                r.min,
+                Stmt.Let_stmt
+                  ( hi,
+                    Expr.add (Expr.Var lo) r.extent,
+                    Stmt.Let_stmt
+                      ( cut,
+                        Expr.max_ (Expr.Var lo) (Expr.min_ e (Expr.Var hi)),
+                        Stmt.Seq
+                          [
+                            part var lo cut first;
+                            part (Var.fresh (Var.name var)) cut hi second;
+                          ] ) ) )
+        | _ -> Stmt.For { r with body = go (Var.Set.add var intvars) r.body })
+    | Stmt.For r -> Stmt.For { r with body = go (Var.Set.add r.var intvars) r.body }
+    | Stmt.Let_stmt (v, e, body) ->
+        let intvars = if int_pure intvars e then Var.Set.add v intvars else intvars in
+        Stmt.Let_stmt (v, e, go intvars body)
+    | Stmt.If (c, a, b) -> Stmt.If (c, go intvars a, Option.map (go intvars) b)
+    | Stmt.Seq l -> Stmt.Seq (List.map (go intvars) l)
+    | Stmt.Alloc r -> Stmt.Alloc { r with body = go intvars r.body }
+    | Stmt.Store _ | Stmt.Reduce_store _ | Stmt.Eval _ | Stmt.Nop -> s
+  in
+  let s = go Var.Set.empty stmt in
+  Obs.Metrics.add split_c !splits;
+  (s, { hoisted = 0 })
+
+(* ------------------------------------------------------------------ *)
 (* Pass framework: each pass runs under an [optimize.<name>] span and
    accounts what it did in the metrics registry. *)
 
@@ -247,8 +338,9 @@ type pass = { pname : string; prun : Stmt.t -> Stmt.t * report }
 
 let licm_pass = { pname = "licm"; prun = licm }
 let divmod_pass = { pname = "divmod"; prun = divmod_elim }
+let select_split_pass = { pname = "select_split"; prun = select_split }
 
-let passes = function O0 -> [] | O3 -> [ divmod_pass; licm_pass ]
+let passes = function O0 -> [] | O3 -> [ divmod_pass; licm_pass; select_split_pass ]
 
 let run ~level (stmt : Stmt.t) : Stmt.t * report =
   List.fold_left

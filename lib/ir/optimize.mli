@@ -2,13 +2,17 @@
     {!Lower} (well, the lowered kernel body it produced) and engine
     compilation.
 
-    Three cooperating pieces, mirroring the paper's §D.7 load hoisting and
-    the LoopStack-style innermost-loop specialization:
+    Cooperating pieces, mirroring the paper's §D.7 load hoisting, its
+    operation splitting, and the LoopStack-style innermost-loop
+    specialization:
 
     - {b loop-invariant code motion} ({!licm}): ragged-offset
       subexpressions — [A_d] prelude-table reads ([Ufun]s), affine index
       products — are hoisted to the outermost loop level where their free
       variables are bound, becoming [Let_stmt] preheaders;
+    - {b select splitting} ({!select_split}): a loop storing
+      [(v cmp e) ? x : y] is split where the condition flips into two
+      select-free loops, which the microkernels below can take;
     - {b affine decomposition} ({!affine_in}): rewrites an index
       expression as [base + var * stride], the analysis behind strength
       reduction (running offsets instead of re-evaluated address trees);
@@ -43,9 +47,9 @@
     {!Runtime.Engine.compile}:
     [O0] — none: the reference level (bit- and counter-exact interpreter
     parity);
-    [O3] — divmod elimination + LICM, strength-reduced innermost store
-    loops, and fused microkernels whose stride-specialized,
-    register-tiled variants are selected at closure-build time from
+    [O3] — divmod elimination + LICM + select splitting,
+    strength-reduced innermost store loops, and fused microkernels whose
+    stride-specialized, register-tiled variants are selected at closure-build time from
     {!classify_stride} / {!classify_nest} (outputs stay
     bitwise-identical; the unfused compiled loop remains the aliasing
     fallback). *)
@@ -69,9 +73,28 @@ val licm : Stmt.t -> Stmt.t * report
 (** Loop-invariant code motion (pass [optimize.licm], traced as a span;
     bindings created are counted in the [optimize.hoisted] metric). *)
 
+val select_split : Stmt.t -> Stmt.t * report
+(** Index-set splitting (pass [optimize.select_split]; splits counted in
+    the [optimize.select_splits] metric) — the paper's operation
+    splitting for a condition inside a loop.  A loop whose body is a
+    single [d[..] = (v cmp e) ? x : y], where [v] is the loop variable,
+    [cmp] is one of [< <= > >=] (with [v] on either side) and [e] is
+    [v]-invariant and integer-pure under the in-scope int variables,
+    becomes
+    [let lo = min; let hi = lo + extent; let cut = max(lo, min(e', hi));]
+    followed by one loop over [[lo, cut)] and one over [[cut, hi)] storing
+    [x] and [y] in the order the condition visits them ([e' = e + 1] for
+    [<=] and [>]).  Both loops keep the original loop kind; the second
+    binds a fresh copy of the loop variable, and each part is split
+    again if its value is itself such a select.  The iterations and
+    their order are the original loop's and a [Select] never evaluates
+    its untaken branch, so outputs are bitwise unchanged; [e] is
+    evaluated once, also when the range is empty (the LICM speculation
+    rule).  [If] guards are left alone. *)
+
 val run : level:level -> Stmt.t -> Stmt.t * report
 (** Run the pass list for [level] ([O0] is the identity; [O3] runs
-    divmod elimination, then {!licm}). *)
+    divmod elimination, {!licm}, then {!select_split}). *)
 
 (* ------------------------------------------------------------------ *)
 (* Analyses used by the engine's strength reduction and microkernels *)

@@ -28,6 +28,12 @@
       strength-reduced innermost store loops (running offsets; bounds
       checks collapse to loop-endpoint checks, so counter divergence on
       error paths only).
+    - Select splitting ({!Ir.Optimize.select_split}) turns a loop
+      storing [(v cmp e) ? x : y] into two select-free loops bound by
+      [lo]/[hi]/[cut] lets (not counted as [hoisted]); the condition is
+      evaluated once instead of per element, and each half is then
+      eligible for the microkernels below — the decode step's KV-cache
+      sweep becomes one unrolled scale and one blit.
     - Innermost dot / reduction / copy / scale loops fuse into
       microkernels ([microkernel_elems] counts the elements they
       process; bulk counter accounting with the same success-path

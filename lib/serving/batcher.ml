@@ -196,14 +196,11 @@ let run (cfg : config) (srv : Server.t) (w : Workload.t)
         let lens_list = Array.to_list (Array.map (fun m -> m.m_lens) ms) in
         let mega = bd.Workload.merge lens_list in
         (* inputs: each member's solo [default_fill] values, routed through
-           the descriptor's index localization — the bitwise-replay key *)
-        (* pre-apply the window so the descriptor's staged offsets are
-           computed once, not once per filled element *)
-        let local = bd.Workload.local_index lens_list in
-        let fill name =
-          let value = Server.default_fill name and localize = local name in
-          fun idx -> value (localize idx)
-        in
+           the descriptor's index localization — the bitwise-replay key.
+           Localization rewrites at most the leading index, so the fill
+           only needs it per mega row; the window is pre-applied so the
+           staged offsets are computed once per mega-batch *)
+        let lead = Workload.lead_index bd lens_list in
         (* the mega-batch itself runs under the most generous member
            deadline — aborting the shared run would punish every member
            for the tightest budget — but each member's own deadline is
@@ -221,7 +218,7 @@ let run (cfg : config) (srv : Server.t) (w : Workload.t)
                 ("batch_size", Obs.Trace_sink.Int size);
               ]
             "batch.run"
-            (fun () -> Server.handle ~deadline_us:max_deadline ~fill srv w mega)
+            (fun () -> Server.handle ~deadline_us:max_deadline ~lead srv w mega)
         with
         | resp ->
             let outs =

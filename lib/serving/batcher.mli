@@ -15,9 +15,9 @@
 
     A request served inside a mega-batch returns bitwise the bytes a solo
     replay would: the workload's {!Workload.batching} descriptor localizes
-    input fills to each member's own frame (through {!Server.handle}'s
-    [?fill] hook) and slices the member's rows back out of the mega
-    output.  [bench-stream --batching --smoke] and the batched
+    input fills to each member's own frame (its [local_index], applied to
+    the leading index through {!Server.handle}'s [?lead] hook) and slices
+    the member's rows back out of the mega output.  [bench-stream --batching --smoke] and the batched
     differential tests enforce this end to end.
 
     {2 Telemetry scatter-back}

@@ -52,11 +52,39 @@ let reset_caches () =
   Autotune.Tuner.clear ();
   Workload.clear_caches ()
 
+(* The input hash, stated once: a seed per tensor name, one [step] per
+   index (outermost first), and the value of the final hash. *)
+let seed name = Hashtbl.hash name land 0xFFFF
+let step h i = ((h * 31) + i + 1) land 0xFFFFFF
+let value h = (float_of_int (h mod 1009) /. 504.5) -. 1.0
+
 let default_fill name =
-  let seed = Hashtbl.hash name land 0xFFFF in
-  fun idx ->
-    let h = List.fold_left (fun acc i -> ((acc * 31) + i + 1) land 0xFFFFFF) seed idx in
-    (float_of_int (h mod 1009) /. 504.5) -. 1.0
+  let s = seed name in
+  fun idx -> value (List.fold_left step s idx)
+
+(* [default_fill] one innermost run at a time: the hash of a run's outer
+   indices is computed once per run and each element adds one [step].
+   [lead] rewrites the leading index (a mega-batch row to its member's
+   own row); for a rank-1 tensor the leading index is the run's. *)
+let fill_input ?(lead = Fun.id) name (r : Ragged.t) =
+  let a = Runtime.Buffer.floats r.Ragged.buf in
+  let s = seed name in
+  Ragged.iter_rows r (fun idx base len ->
+      match Array.length idx with
+      | 0 -> a.(base) <- value s
+      | 1 ->
+          for v = 0 to len - 1 do
+            a.(base + v) <- value (step s (lead v))
+          done
+      | n ->
+          let h = ref (step s (lead idx.(0))) in
+          for j = 1 to n - 2 do
+            h := step !h idx.(j)
+          done;
+          let h = !h in
+          for v = 0 to len - 1 do
+            a.(base + v) <- value (step h v)
+          done)
 
 (* Execute the job's kernels through the selected engine.
 
@@ -82,7 +110,7 @@ type exec_stats = {
   x_arena_misses : int;
 }
 
-let execute ?(fill = default_fill) ?handles (srv : t) (job : Workload.job)
+let execute ?lead ?handles (srv : t) (job : Workload.job)
     (built : Prelude.built) : counters * float array * exec_stats =
   let arena = Runtime.Buffer.Arena.global in
   let arena_hits = ref 0 and arena_misses = ref 0 in
@@ -130,7 +158,9 @@ let execute ?(fill = default_fill) ?handles (srv : t) (job : Workload.job)
     job.Workload.kernels;
   (* deterministic inputs: tensors read but never written *)
   Hashtbl.iter
-    (fun name r -> if not (Hashtbl.mem written name) then Ragged.fill r (fill name))
+    (fun name r ->
+      if not (Hashtbl.mem written name) then
+        fill_input ?lead:(Option.map (fun f -> f name) lead) name r)
     raggeds;
   (* Compiled-kernel tally of this request: a plan's handles compile
      each kernel once (misses), warm handles are hits; without handles
@@ -163,7 +193,7 @@ let execute ?(fill = default_fill) ?handles (srv : t) (job : Workload.job)
   in
   (Runtime.Interp.stats env, out, stats)
 
-let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array) :
+let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array) :
     response =
   Obs.Span.with_span
     ~attrs:[ ("workload", Obs.Trace_sink.Str w.Workload.name) ]
@@ -402,7 +432,7 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
     if srv.execute then
       let handles = Option.map (fun (p : Workload.plan) -> p.Workload.p_handles) plan in
       let c, o, s =
-        Obs.Span.with_span "serve.execute" (fun () -> execute ?fill ?handles srv job built)
+        Obs.Span.with_span "serve.execute" (fun () -> execute ?lead ?handles srv job built)
       in
       (Some c, Some o, s)
     else
@@ -483,8 +513,8 @@ let handle_once ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array)
 
 (* Graceful degradation: a kernel the compiled engine rejects is served
    once more on the interpreter, under the same deadline. *)
-let handle ?deadline_us ?fill (srv : t) (w : Workload.t) (lens : int array) : response =
-  try handle_once ?deadline_us ?fill srv w lens
+let handle ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array) : response =
+  try handle_once ?deadline_us ?lead srv w lens
   with Runtime.Engine.Error _ when srv.engine = `Compiled ->
     Obs.Metrics.incr degraded_c;
-    handle_once ?deadline_us ?fill { srv with engine = `Interp } w lens
+    handle_once ?deadline_us ?lead { srv with engine = `Interp } w lens

@@ -110,22 +110,34 @@ exception Deadline_exceeded of string
     calls themselves (scoped through {!Cora.Lower.with_memo}), so they
     stay exact when requests run concurrently on several domains.
 
-    [?fill] overrides {!default_fill} for input tensors (read but never
-    written).  {!Serving.Batcher} uses it to fill a mega-batch's inputs
-    with each member request's {e own} [default_fill] values (the batch
-    row index routed back to the member's local row), so a request served
-    inside a mega-batch computes over bitwise the same inputs as a solo
-    replay. *)
+    Input tensors (read but never written) are filled with
+    {!default_fill}'s values, one innermost row at a time
+    ({!fill_input}).  [?lead name] rewrites the leading index of tensor
+    [name] before hashing (default: none).  {!Serving.Batcher} uses it to
+    fill a mega-batch's inputs with each member request's {e own}
+    [default_fill] values (the batch row routed back to the member's
+    local row), so a request served inside a mega-batch computes over
+    bitwise the same inputs as a solo replay. *)
 val handle :
   ?deadline_us:float ->
-  ?fill:(string -> int list -> float) ->
+  ?lead:(string -> int -> int) ->
   t -> Workload.t -> int array -> response
 
 (** Drop all cache contents (compile memo, prelude builds, plans, the
     tuner memo and every workload's job memo). *)
 val reset_caches : unit -> unit
 
-(** Deterministic input fill used for every tensor that is read but never
+(** Deterministic input values for every tensor that is read but never
     written: a hash of the tensor name and multi-index.  Applied to a name
-    alone it hashes the name once and returns the per-index function. *)
+    alone it hashes the name once and returns the per-index function.
+    This is the per-index reference; serving fills through
+    {!fill_input}, which writes bitwise the same values. *)
 val default_fill : string -> int list -> float
+
+(** [fill_input ?lead name r] fills [r]'s valid region with
+    [default_fill name] one innermost row at a time
+    ({!Cora.Ragged.iter_rows}): the hash of a row's outer indices is
+    computed once per row and each element costs one hash step.  With
+    [lead], the value at index [i :: rest] is [default_fill name (lead i
+    :: rest)]. *)
+val fill_input : ?lead:(int -> int) -> string -> Cora.Ragged.t -> unit

@@ -167,7 +167,7 @@ let plan (w : t) ?point ~opt lens =
    out of the mega-batch's dense (max-extent-padded) output. *)
 
 (* [offsets counts] — leading-dim start of each member; [owner] finds the
-   member holding mega row [b] (members are few, linear scan). *)
+   member holding mega row [b]. *)
 let offsets (counts : int list) : int array =
   let off = Array.make (List.length counts) 0 in
   ignore
@@ -179,7 +179,7 @@ let offsets (counts : int list) : int array =
   off
 
 (* Largest k with off.(k) <= b (binary search: the fill localization
-   calls this once per dense element of the mega-batch). *)
+   calls this once per innermost row of every batched input). *)
 let owner (off : int array) (b : int) : int =
   let lo = ref 0 and hi = ref (Array.length off - 1) in
   while !lo < !hi do
@@ -196,6 +196,15 @@ let localize (off : int array) (idx : int list) : int list =
       let k = owner off b in
       (b - off.(k)) :: rest
   | [] -> []
+
+let lead_index (bd : batching) ls =
+  let local = bd.local_index ls in
+  fun name ->
+    let localize = local name in
+    fun b ->
+      match localize [ b ] with
+      | [ b' ] -> b'
+      | _ -> invalid_arg "Workload.lead_index: local_index changed an index's rank"
 
 (* Slice one member's [rows_k x inner_k] dense block out of the
    mega-batch's [rows_total x inner_mega] dense output ([inner] = product

@@ -43,9 +43,14 @@ type batching = {
       (** rewrite a mega-batch tensor index into the owning member's
           local frame (identity for tensors without a batch dim), so
           {!Server.default_fill} yields the member's solo input values.
+          It rewrites at most the {e leading} index and keeps the rank:
+          [local_index ls name (b :: rest) = b' :: rest], with [b']
+          a function of [ls], [name] and [b] alone.  That is what lets
+          {!Serving.Batcher} localize a fill once per mega row (applying
+          it to [[b]]) instead of once per element.
           Staged: applying the window's lens list precomputes the member
           offsets, so callers should partially apply it once per
-          mega-batch and reuse the returned closure per element *)
+          mega-batch and reuse the returned closure *)
   split : int array list -> float array -> float array list;
       (** scatter the mega-batch's dense output into one dense block per
           member, each bitwise equal to the member's solo output *)
@@ -170,6 +175,13 @@ type t = {
           enabled, so a cache-bypassed differential replay rebuilds from
           scratch. *)
 }
+
+(** [lead_index bd ls name b] — [bd.local_index ls name] applied to the
+    leading index [b] alone: the member-local row of mega row [b] for
+    tensor [name] (stage it like [local_index]).  By the [local_index]
+    contract this is all a mega-batch input fill needs
+    ({!Server.handle}'s [?lead]). *)
+val lead_index : batching -> int array list -> string -> int -> int
 
 (** Empty every live instance's [job_cache].  Called by
     {!Server.reset_caches}: a reset must leave no memoized jobs behind, or

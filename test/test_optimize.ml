@@ -604,6 +604,163 @@ let test_arena_negative_raises () =
     (Invalid_argument "Array.make") (fun () -> ignore (Arena.acquire t (-1)))
 
 (* ------------------------------------------------------------------ *)
+(* Select splitting: random loops [d[o*24 + i] = (i cmp e) ? x : y] under
+   an outer loop [o in [0, 2)], with the cut below, inside and above the
+   range, zero-trip and negative extents, every comparison with the loop
+   variable on either side, [e] reading a prelude table, and the
+   destination aliasing the source.  O3 must split every one of them and
+   stay bitwise equal to the interpreter. *)
+
+type split_case = {
+  smin : int;
+  sext : int;
+  cmp : Ir.Expr.cmpop;
+  var_left : bool;
+  cut : int;
+  via_table : bool;  (** [e = tab(o) + cut] instead of the literal [cut] *)
+  alias : bool;  (** the destination is the source buffer *)
+  shift : int;  (** source index = destination index + shift *)
+  xform : int;  (** 0: copy, 1: scale by a literal, 2: generic *)
+  yform : int;
+  skind : Ir.Stmt.for_kind;
+}
+
+let split_case_gen =
+  let open QCheck.Gen in
+  let* smin = int_range 0 4 in
+  let* sext = int_range (-3) 14 in
+  let* cmp = oneofl [ Ir.Expr.Lt; Ir.Expr.Le; Ir.Expr.Gt; Ir.Expr.Ge ] in
+  let* var_left = bool in
+  let* cut = int_range (-4) 22 in
+  let* via_table = bool in
+  let* alias = bool in
+  let* shift = int_range 0 2 in
+  let* xform = int_range 0 2 in
+  let* yform = int_range 0 2 in
+  let* skind = oneofl [ Ir.Stmt.Serial; Ir.Stmt.Gpu_thread; Ir.Stmt.Parallel ] in
+  return { smin; sext; cmp; var_left; cut; via_table; alias; shift; xform; yform; skind }
+
+let print_split_case c =
+  Printf.sprintf
+    "{min=%d; ext=%d; cmp=%s; var_left=%b; cut=%d; via_table=%b; alias=%b; shift=%d; x=%d; y=%d}"
+    c.smin c.sext
+    (match c.cmp with
+    | Ir.Expr.Lt -> "<"
+    | Ir.Expr.Le -> "<="
+    | Ir.Expr.Gt -> ">"
+    | Ir.Expr.Ge -> ">="
+    | _ -> "?")
+    c.var_left c.cut c.via_table c.alias c.shift c.xform c.yform
+
+let split_table = [| 3; 9 |]
+let split_row = 24
+
+let split_loop c =
+  let open Ir in
+  let o = Var.fresh "o" and i = Var.fresh "i" in
+  let src = Var.fresh "S" in
+  let dst = if c.alias then src else Var.fresh "D" in
+  let row = Expr.mul (Expr.var o) (Expr.int split_row) in
+  let di = Expr.add row (Expr.var i) in
+  let si = Expr.add di (Expr.int c.shift) in
+  let form = function
+    | 0 -> load src si
+    | 1 -> Expr.mul (load src si) (Expr.float 0.353553)
+    | _ -> Expr.add (load src si) (Expr.float 1.5)
+  in
+  let e =
+    if c.via_table then Expr.add (Expr.ufun "tab" [ Expr.var o ]) (Expr.int c.cut)
+    else Expr.int c.cut
+  in
+  let cond =
+    if c.var_left then Expr.Cmp (c.cmp, Expr.var i, e) else Expr.Cmp (c.cmp, e, Expr.var i)
+  in
+  let inner =
+    Stmt.For
+      { var = i; min = Expr.int c.smin; extent = Expr.int c.sext; kind = c.skind;
+        body =
+          Stmt.Store
+            { buf = dst; index = di; value = Expr.Select (cond, form c.xform, form c.yform) } }
+  in
+  let body =
+    Stmt.For { var = o; min = Expr.zero; extent = Expr.int 2; kind = Stmt.Serial; body = inner }
+  in
+  (body, src, dst)
+
+let split_src () =
+  Array.init (2 * split_row) (fun k -> if k = 5 then -0.0 else cos (float_of_int (3 * k)))
+
+let run_split_interp c =
+  let body, src, dst = split_loop c in
+  let env = Runtime.Interp.create () in
+  let fs = split_src () and fd = Array.make (2 * split_row) 7.25 in
+  Runtime.Interp.bind_buf env src (Runtime.Buffer.of_floats fs);
+  if not c.alias then Runtime.Interp.bind_buf env dst (Runtime.Buffer.of_floats fd);
+  Runtime.Interp.bind_ufun_array env "tab" split_table;
+  Runtime.Interp.exec env body;
+  (fs, fd)
+
+let has_select_stmt (s : Ir.Stmt.t) =
+  let is_select b (n : Ir.Expr.t) = b || match n with Ir.Expr.Select _ -> true | _ -> false in
+  Ir.Stmt.fold_exprs (fun b e -> Ir.Expr.fold is_select b e) false s
+
+let run_split_o3 c =
+  let module E = Runtime.Engine in
+  let body, src, dst = split_loop c in
+  let split = has_select_stmt (fst (Ir.Optimize.run ~level:Ir.Optimize.O3 body)) in
+  let fr = E.frame (E.compile ~opt:Ir.Optimize.O3 body) in
+  let fs = split_src () and fd = Array.make (2 * split_row) 7.25 in
+  E.bind_buf fr src (Runtime.Buffer.of_floats fs);
+  if not c.alias then E.bind_buf fr dst (Runtime.Buffer.of_floats fd);
+  E.bind_ufun_table fr "tab" split_table;
+  E.run fr;
+  (not split, (fs, fd))
+
+let prop_select_split =
+  QCheck.Test.make ~count:400 ~name:"select_split: O3 outputs == interp (bitwise)"
+    (QCheck.make ~print:print_split_case split_case_gen)
+    (fun c ->
+      let fs, fd = run_split_interp c in
+      let split, (gs, gd) = run_split_o3 c in
+      if not split then QCheck.Test.fail_report "O3 left a select in the loop";
+      bits fs = bits gs && bits fd = bits gd)
+
+(* The decode step's cache sweep [DKN = (c < h) ? DKV * s : DKV]: at O3
+   its one select is split away and the two halves bind exactly the
+   unrolled scale and the blit copy. *)
+let test_kvscale_split () =
+  let w = Serving.Workload.decode ~batch:2 ~max_src:12 () in
+  let lens = w.Serving.Workload.sample (Workloads.Rng.create 3) in
+  let job = w.Serving.Workload.build lens in
+  let k =
+    List.find (fun (k : Lower.kernel) -> k.Lower.kname = "KVScale") job.Serving.Workload.kernels
+  in
+  Alcotest.(check bool) "KVScale selects before O3" true (has_select_stmt k.Lower.body);
+  let o3, _ = Ir.Optimize.run ~level:Ir.Optimize.O3 k.Lower.body in
+  Alcotest.(check bool) "no select after O3" false (has_select_stmt o3);
+  let variants () =
+    List.filter_map
+      (fun (name, v) ->
+        match v with
+        | Obs.Metrics.Counter_v n
+          when String.length name > 18 && String.sub name 0 18 = "engine.mk_variant." ->
+            Some (String.sub name 18 (String.length name - 18), n)
+        | _ -> None)
+      (Obs.Metrics.dump ())
+  in
+  let before = variants () in
+  ignore (Runtime.Engine.compile ~opt:Ir.Optimize.O3 k.Lower.body);
+  let bound =
+    List.filter_map
+      (fun (name, n) ->
+        let n0 = Option.value ~default:0 (List.assoc_opt name before) in
+        if n > n0 then Some (name, n - n0) else None)
+      (variants ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "bound variants" [ ("copy.blit", 1); ("scale.u4", 1) ] bound
+
+(* ------------------------------------------------------------------ *)
 (* Metric handles registered at module initialisation must keep counting
    after a registry reset (reset zeroes cells in place). *)
 
@@ -655,6 +812,12 @@ let () =
           Alcotest.test_case "dynamic stride selects strided variant" `Quick
             test_o3_dynamic_stride_selects_strided;
           Alcotest.test_case "divmod elimination" `Quick test_o3_divmod_elim;
+        ] );
+      ( "select_split",
+        [
+          QCheck_alcotest.to_alcotest prop_select_split;
+          Alcotest.test_case "KVScale splits into scale.u4 + copy.blit" `Quick
+            test_kvscale_split;
         ] );
       ( "chunks",
         [

@@ -269,6 +269,180 @@ let test_deadline_far () =
   Alcotest.(check bool) "far-future deadline: bitwise the same response" true
     (String.equal (fields plain) (fields far))
 
+(* Golden outputs: the XOR of every response checksum's bit pattern (the
+   [stream_checksum] of [cora bench-stream]) over a fixed stream per
+   workload, served on the interpreter, on the O3 engine and — for
+   workloads that batch — as mega-batches.  The constants were recorded
+   from a build whose input fill was the per-index [default_fill]
+   reference and whose O3 pipeline had no select splitting, so they pin
+   both the fill values and the optimized kernels' outputs to bytes that
+   no engine or fill change may move. *)
+let golden_workloads () = workloads () @ [ Serving.Workload.decode ~batch:2 ~max_src:12 () ]
+
+let golden =
+  (* workload -> (stream checksum, output digest) *)
+  [
+    ("fig1", (0x00082523fef94649L, 0xa4befd11bb8953ccL));
+    ("vgemm", (0x0061c1aeffb6c788L, 0xc0ca111afb84ab88L));
+    ("trmm", (0x00250a3572bda7e7L, 0x54bd2b48bfd3f680L));
+    ("encoder", (0x002c000000000000L, 0x9f1fa6577cb1908bL));
+    ("decode", (0x00069f60ab9a7a80L, 0x5dd90eb5787af463L));
+  ]
+
+let xor_checksums =
+  List.fold_left
+    (fun acc (r : Serving.Server.response) ->
+      Int64.logxor acc (Int64.bits_of_float r.Serving.Server.checksum))
+    0L
+
+(* A checksum is a sum, and the encoder's layer-normalized rows sum to
+   about zero, so the outputs are pinned element by element too: an
+   FNV-style fold over every output bit pattern, responses in order. *)
+let fnv h x = Int64.add (Int64.mul h 1099511628211L) x
+
+let digest =
+  List.fold_left
+    (fun acc r -> Array.fold_left (fun h x -> fnv h (Int64.bits_of_float x)) acc (get_out r))
+    0xcbf29ce484222325L
+
+let test_golden_checksums () =
+  (* fresh workload values per server: the untuned job memo is keyed by
+     raggedness vector alone, so an O0 and an O3 server must not share one *)
+  List.iteri
+    (fun i (w : Serving.Workload.t) ->
+      let fresh () = List.nth (golden_workloads ()) i in
+      let name = w.Serving.Workload.name in
+      let want_sum, want_digest = List.assoc name golden in
+      let shapes =
+        (Serving.Stream.generate ~workload:w ~pool:4 ~n:8 ~seed:5 ()).Serving.Stream.shapes
+      in
+      let hex = Printf.sprintf "%016Lx" in
+      let check label rs =
+        Alcotest.(check string) (name ^ " " ^ label ^ " checksum") (hex want_sum)
+          (hex (xor_checksums rs));
+        Alcotest.(check string) (name ^ " " ^ label ^ " digest") (hex want_digest) (hex (digest rs))
+      in
+      let serve srv w = List.map (Serving.Server.handle srv w) (Array.to_list shapes) in
+      Serving.Server.reset_caches ();
+      check "interp" (serve (Serving.Server.create ()) w);
+      let o3 = Serving.Server.create ~engine:`Compiled ~opt:Ir.Optimize.O3 () in
+      let w3 = fresh () in
+      check "O3" (serve o3 w3);
+      if Option.is_some w.Serving.Workload.batching then begin
+        let members =
+          Array.mapi
+            (fun i lens ->
+              { Serving.Batcher.m_lens = lens; m_deadline_us = infinity; m_id = i })
+            shapes
+        in
+        let outs = Serving.Batcher.run Serving.Batcher.default_config o3 w3 members in
+        let resps =
+          Array.to_list outs
+          |> List.map (function
+               | Serving.Batcher.Served { resp; _ } -> resp
+               | _ -> Alcotest.failf "%s: a batched member was not served" name)
+        in
+        check "O3 batched" resps
+      end)
+    (golden_workloads ())
+
+(* The row fill against the per-index reference.  perfbench's oracle
+   server fills through the same [Server.execute], so a wrong row fill
+   would agree with itself; here every input tensor (read, never written)
+   of each workload's job is filled both ways and compared bitwise, solo
+   and as 1..8-member mega-batches.  The mega-batch reference localizes
+   every index through [local_index]; the row fill localizes only the
+   leading one through [Workload.lead_index], which the [local_index]
+   contract (checked index by index) makes equivalent. *)
+let input_tensors (job : Serving.Workload.job) =
+  let kernels = job.Serving.Workload.kernels in
+  let written =
+    List.map (fun (k : Cora.Lower.kernel) -> k.Cora.Lower.out.Cora.Tensor.name) kernels
+  in
+  List.concat_map (fun (k : Cora.Lower.kernel) -> k.Cora.Lower.reads) kernels
+  |> List.filter (fun (t : Cora.Tensor.t) -> not (List.mem t.Cora.Tensor.name written))
+  |> List.sort_uniq (fun (a : Cora.Tensor.t) b -> compare a.Cora.Tensor.name b.Cora.Tensor.name)
+
+let check_fill ~label ?lead ~local (job : Serving.Workload.job) =
+  let inputs = input_tensors job in
+  Alcotest.(check bool) (label ^ ": has inputs") true (inputs <> []);
+  List.iter
+    (fun (t : Cora.Tensor.t) ->
+      let name = t.Cora.Tensor.name in
+      let lenv = job.Serving.Workload.lenv in
+      let rows = Cora.Ragged.alloc t lenv and ref_ = Cora.Ragged.alloc t lenv in
+      Serving.Server.fill_input ?lead:(Option.map (fun f -> f name) lead) name rows;
+      let value = Serving.Server.default_fill name and localize = local name in
+      Cora.Ragged.fill ref_ (fun idx -> value (localize idx));
+      let floats (r : Cora.Ragged.t) = Runtime.Buffer.floats r.Cora.Ragged.buf in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: row fill == default_fill (bitwise)" label name)
+        true
+        (bits_equal (floats rows) (floats ref_)))
+    inputs
+
+let test_row_fill () =
+  (* a lead map on tensors of every rank the fill distinguishes: rank 1
+     (the run is the leading index), rank 2 and a ragged rank 3 *)
+  let b = Cora.Dim.make "b" and j = Cora.Dim.make "j" and k = Cora.Dim.make "k" in
+  let lens = Cora.Lenfun.make "lens" in
+  let lenv = [ Cora.Lenfun.of_array "lens" [| 3; 0; 5; 1 |] ] in
+  let ragged = Cora.Shape.ragged ~dep:b ~fn:lens in
+  let fixed = Cora.Shape.fixed in
+  let lead b = (b * 7) + 1 in
+  List.iter
+    (fun (name, dims, extents) ->
+      let t = Cora.Tensor.create ~name ~dims ~extents in
+      let rows = Cora.Ragged.alloc t lenv and ref_ = Cora.Ragged.alloc t lenv in
+      Serving.Server.fill_input ~lead name rows;
+      let value = Serving.Server.default_fill name in
+      Cora.Ragged.fill ref_ (function i :: rest -> value (lead i :: rest) | [] -> value []);
+      let floats (r : Cora.Ragged.t) = Runtime.Buffer.floats r.Cora.Ragged.buf in
+      Alcotest.(check bool) (name ^ ": row fill with a lead map (bitwise)") true
+        (bits_equal (floats rows) (floats ref_)))
+    [
+      ("R1", [ b ], [ fixed 4 ]);
+      ("R2", [ b; j ], [ fixed 4; fixed 3 ]);
+      ("R3", [ b; j; k ], [ fixed 4; ragged; fixed 2 ]);
+    ];
+  List.iter
+    (fun (w : Serving.Workload.t) ->
+      let name = w.Serving.Workload.name in
+      let rng = Workloads.Rng.create 17 in
+      for i = 1 to 3 do
+        let lens = w.Serving.Workload.sample rng in
+        check_fill ~label:(Printf.sprintf "%s solo %d" name i) ~local:(fun _ idx -> idx)
+          (w.Serving.Workload.build lens)
+      done;
+      match w.Serving.Workload.batching with
+      | None -> ()
+      | Some bd ->
+          for m = 1 to 8 do
+            let ls = List.init m (fun _ -> w.Serving.Workload.sample rng) in
+            let job = w.Serving.Workload.build (bd.Serving.Workload.merge ls) in
+            let local = bd.Serving.Workload.local_index ls in
+            let lead = Serving.Workload.lead_index bd ls in
+            check_fill ~label:(Printf.sprintf "%s mega x%d" name m) ~lead ~local job;
+            (* the local_index contract: only the leading index moves, and
+               it moves as [lead_index] says *)
+            List.iter
+              (fun (t : Cora.Tensor.t) ->
+                let tname = t.Cora.Tensor.name in
+                let loc = local tname and ld = lead tname in
+                Cora.Ragged.iter_indices
+                  (Cora.Ragged.alloc t job.Serving.Workload.lenv)
+                  (fun idx ->
+                    match (idx, loc idx) with
+                    | b :: rest, b' :: rest' when rest' = rest && b' = ld b -> ()
+                    | [], [] -> ()
+                    | _ ->
+                        Alcotest.failf
+                          "%s mega x%d %s: local_index moved more than the leading index" name
+                          m tname))
+              (input_tensors job)
+          done)
+    (golden_workloads ())
+
 let () =
   let diff =
     List.map
@@ -287,6 +461,11 @@ let () =
           Alcotest.test_case "prelude cache cap respected" `Quick test_prelude_cache_cap;
           Alcotest.test_case "compile memo cap respected" `Quick test_compile_memo_cap;
           Alcotest.test_case "stream determinism" `Quick test_determinism;
+        ] );
+      ( "inputs",
+        [
+          Alcotest.test_case "row fill == default_fill, solo and mega" `Quick test_row_fill;
+          Alcotest.test_case "golden stream checksums" `Quick test_golden_checksums;
         ] );
       ( "deadlines",
         [
