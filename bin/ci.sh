@@ -58,8 +58,11 @@ echo "== cora bench-stream --smoke" >&2
 # Replays a deterministic request stream through the serving caches; --smoke
 # makes the binary self-validate (nonzero hit rates, zero prelude host work
 # on hits, monotone non-increasing per-window overhead p50 after warmup) and
-# exit nonzero on violation.  The JSON line is then parsed here as a second,
-# independent sanity check.
+# exit nonzero on violation.  With --exec, every --smoke run below also
+# checks every served output bitwise against one reference: a
+# cache-bypassed, untuned, serial interpreter server run once per distinct
+# vector, which shares no cache with the run it checks.  The JSON line is
+# then parsed here as a second, independent sanity check.
 dune exec bin/cora_cli.exe -- bench-stream --exec --smoke > "$tmpdir/stream.txt"
 
 json=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream.txt")
@@ -75,10 +78,10 @@ awk -v h="$hostns" 'BEGIN { exit (h == 0) ? 0 : 1 }' \
   || { echo "ci: prelude host work on hits is $hostns, expected 0" >&2; exit 1; }
 
 echo "== cora bench-stream --exec --engine compiled --smoke" >&2
-# Same stream, executed through the compiled closure engine.  --smoke
-# additionally replays the first window through the interpreter and fails
-# on any bitwise output divergence, so this step proves engine parity on
-# the serving path, not just in the unit tests.
+# Same stream, executed through the compiled closure engine.  --smoke's
+# reference check fails on any bitwise output divergence from the
+# interpreter, so this step proves engine parity on the serving path, not
+# just in the unit tests.
 dune exec bin/cora_cli.exe -- bench-stream --exec --engine compiled --smoke \
   > "$tmpdir/stream_compiled.txt"
 
@@ -94,15 +97,15 @@ awk -v o="$ops" 'BEGIN { exit (o > 0) ? 0 : 1 }' \
   || { echo "ci: scalar_ops_per_sec=$ops, expected > 0" >&2; exit 1; }
 
 echo "== cora bench-stream --exec --engine compiled --opt 3 --smoke" >&2
-# The O3 serving level.  --smoke keeps the bitwise interpreter replay of the
-# first window AND fails if the buffer arena misses after the first window —
-# the zero-allocation steady-state contract: once the first window has
-# populated the arena's size classes, serving must not allocate fresh float
-# storage.  The per-window miss counts are re-checked here from the JSON as
-# an independent assertion.  Additionally the whole stream's output digest
-# (stream_checksum: XOR of every served checksum's bit pattern) must equal
-# the O0 compiled run's from the step above — a full-stream bitwise replay
-# check across optimization levels.
+# The O3 serving level.  --smoke keeps the reference check AND fails if the
+# buffer arena misses after the first window — the zero-allocation
+# steady-state contract: once the first window has populated the arena's
+# size classes, serving must not allocate fresh float storage.  The
+# per-window miss counts are re-checked here from the JSON as an
+# independent assertion.  Additionally the whole stream's output digest
+# (stream_checksum: FNV-1a over every output bit of each response, summed
+# mod 2^64) must equal the O0 compiled run's from the step above — a
+# full-stream bitwise check across optimization levels.
 dune exec bin/cora_cli.exe -- bench-stream --exec --engine compiled --opt 3 --smoke \
   > "$tmpdir/stream_o3.txt"
 
@@ -120,7 +123,7 @@ test -n "$ck0" && test "$ck0" = "$ck3" \
 
 echo "== cora bench-stream --exec --engine compiled --opt 3 --domains 4 --smoke" >&2
 # The same O3 stream behind the concurrent front-end.  --smoke checks every
-# request's checksum bitwise against a serial replay; the order-independent
+# request's output bitwise against the reference; the order-independent
 # stream digest must again equal the O0 serial run's.
 dune exec bin/cora_cli.exe -- bench-stream --exec --engine compiled --opt 3 \
   --domains 4 --smoke > "$tmpdir/stream_o3_domains.txt"
@@ -135,6 +138,16 @@ done
 ck3d=$(json_field "$o3djson" stream_checksum)
 test "$ck0" = "$ck3d" \
   || { echo "ci: concurrent O3 stream digest $ck3d diverges from O0's $ck0" >&2; exit 1; }
+
+echo "== cora bench-stream --workload encoder --dataset mnli --exec --engine compiled --opt 3 --smoke" >&2
+# The serving benchmark's encoder_mnli workload (tiny encoder, batch 4 MNLI
+# vectors) at the O3 serving level: --smoke checks every served output
+# bitwise against the reference.
+dune exec bin/cora_cli.exe -- bench-stream --workload encoder --dataset mnli --exec \
+  --engine compiled --opt 3 --smoke > "$tmpdir/stream_encoder.txt"
+ejson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_encoder.txt")
+echo "$ejson" | grep -q '"workload":"encoder"' \
+  || { echo "ci: no encoder BENCH_STREAM line" >&2; exit 1; }
 
 echo "== bench engine — O3/O0 speedup floor and bound variants" >&2
 # Deterministic half: the O3 microkernel variants each runner's kernels bind
@@ -181,8 +194,8 @@ echo "ci: O3/O0 speedups OK (best-of-3: vgemm ${best_vg}x, encoder ${best_enc}x)
 echo "== cora bench-stream --exec --domains 4 --smoke" >&2
 # Same stream, but pushed through the concurrent front-end: 4 worker domains
 # behind the bounded queue.  --smoke makes the binary fail on any rejected,
-# errored or deadline-exceeded request and on any per-request checksum that
-# diverges bitwise from a serial replay.  The typed outcome counters are then
+# errored or deadline-exceeded request and on any output that diverges
+# bitwise from the reference.  The typed outcome counters are then
 # re-checked here from the JSON as an independent assertion.
 dune exec bin/cora_cli.exe -- bench-stream --exec --domains 4 --smoke \
   > "$tmpdir/stream_domains.txt"
@@ -203,8 +216,8 @@ awk -v g="$goodput" 'BEGIN { exit (g > 0) ? 0 : 1 }' \
 echo "== cora bench-stream --exec --pool 1 --batching --smoke" >&2
 # Continuous batching over a single-signature pool, serial: each window's
 # requests are bin-packed into tile-aligned mega-batches and every member's
-# output is checksummed bitwise against a cache-bypassed solo replay
-# (--smoke exits nonzero on divergence).  The arena must also go flat after
+# output is checked bitwise against the solo reference (--smoke exits
+# nonzero on divergence).  The arena must also go flat after
 # the first window: the mega-batch signatures repeat, so steady-state
 # serving allocates nothing fresh.
 dune exec bin/cora_cli.exe -- bench-stream --exec --pool 1 --batching --smoke \
@@ -224,8 +237,8 @@ echo "$bwmiss" | awk -F, '{ for (i = 2; i <= NF; i++) if ($i > 0) exit 1 }' \
 echo "== cora bench-stream --exec --domains 4 --batching --smoke" >&2
 # Continuous batching behind the concurrent front-end: worker domains drain
 # the admission queue under the batching window, form mega-batches, and
-# scatter per-request outcomes back.  --smoke keeps the bitwise serial-replay
-# checksum check; here the JSON is re-checked for the batching win itself —
+# scatter per-request outcomes back.  --smoke keeps the bitwise reference
+# check; here the JSON is re-checked for the batching win itself —
 # an unloaded stream must lose no requests, batches must actually form
 # (mean size > 1), and the ragged mega-batch padding waste must stay below
 # the one-request-one-batch dense baseline computed from the same stream.
@@ -329,8 +342,8 @@ echo "ci: tracing overhead OK (best-of-3: on=$best_on ns, off=$best_off ns)" >&2
 
 echo "== cora bench-stream --autotune --smoke" >&2
 # Online schedule autotuning, serial then concurrent.  --smoke makes the
-# binary fail on any checksum that diverges bitwise from an untuned replay
-# (the tuner may only move data-axis loop structure); the JSON is then
+# binary fail on any output that diverges bitwise from the untuned
+# reference (the tuner may only move data-axis loop structure); the JSON is then
 # re-checked here: no lost requests, at least one search that actually
 # beat the hand schedule, and a non-empty bounded memo.
 dune exec bin/cora_cli.exe -- bench-stream --exec --requests 200 --autotune --smoke \
@@ -355,8 +368,8 @@ awk -v n="$entries" 'BEGIN { exit (n > 0) ? 0 : 1 }' \
 # 0.95x of steady-state hand serving's host-side request rate.  Measured
 # on the model-only path (no --exec): goodput is host wall, and
 # interpreting a tuned multi-kernel schedule on the host costs real host
-# time by design — the tuner optimizes *modeled* device time, which
-# --smoke's replay and the autotune bench already verify strictly wins.
+# time by design — the tuner optimizes *modeled* device time, which the
+# autotune bench and the tuned-wins gate above already verify.
 # What this budget guards is the serving hot path itself: with the
 # decision baked into the job memo, a steady-state tuned request must
 # cost the same lookups a hand request does.  The pair comes from ONE
@@ -399,7 +412,7 @@ echo "ci: autotune --opt 3 goodput OK (best-of-3 tuned/hand ratio: $best_ratio3)
 echo "== cora bench-stream --autotune --domains 4 --smoke" >&2
 # The same autotuned stream behind the concurrent front-end: cold-key
 # tunes may race across domains (benign — decisions are deterministic),
-# and --smoke keeps both bitwise checks (vs serial replay and vs untuned).
+# and --smoke keeps the bitwise reference check.
 dune exec bin/cora_cli.exe -- bench-stream --exec --autotune --domains 4 --smoke \
   > "$tmpdir/stream_autotune_domains.txt"
 adjson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_autotune_domains.txt")
@@ -418,7 +431,7 @@ echo "== cora bench-stream --workload decode --domains 4 --smoke" >&2
 # prefill+decode sessions whose KV-cache lengths grow by one per step,
 # served with incremental prelude maintenance.  --smoke turns on the
 # differential delta-vs-rebuild oracle for every delta update and checks
-# each request's checksum bitwise against a serial replay; the JSON is
+# each request's output bitwise against the reference; the JSON is
 # then re-checked here — no lost requests, the delta path actually fired,
 # and the steady-state modeled per-step prelude cost at least halved
 # against full rebuilds.

@@ -481,7 +481,7 @@ let bench_stream_cmd =
             "Online schedule autotuning: consult the tuner memo per request (keyed by \
              workload and raggedness signature); misses serve the hand schedule \
              and warm the memo after the response, hits serve the tuned schedule.  Outputs \
-             stay bitwise-identical to an untuned replay (--smoke verifies).")
+             stay bitwise-identical to the hand schedule's (--smoke verifies).")
   in
   let smoke_flag =
     Arg.(
@@ -489,14 +489,14 @@ let bench_stream_cmd =
       & info [ "smoke" ]
           ~doc:
             "Self-validate: nonzero hit rates, zero prelude host time on hits, monotone \
-             non-increasing per-window p50 after warmup; with --exec --engine compiled, \
-             also that the first window's outputs are bit-identical to the interpreter's; \
-             with --domains > 1, that every request is served (no rejection, deadline or \
-             error) with per-request checksums bitwise-identical to a serial replay; with \
-             --batching, that mega-batches actually amortize (> 1 request each), that the \
-             tile packing never pads more than one-request-one-batch serving, and that \
-             every batched request's checksum is bitwise-identical to a serial unbatched \
-             replay.  Exits nonzero on violation.")
+             non-increasing per-window p50 after warmup; every request served (no \
+             rejection, deadline or error); with --exec, that every served output is \
+             bit-identical to the reference, a cache-bypassed, untuned, serial \
+             interpreter server run once per distinct vector; with --batching, that \
+             mega-batches actually amortize (> 1 request each) and that the tile packing \
+             never pads more than one-request-one-batch serving; with --autotune \
+             --exec, that a tune ran and left the memo non-empty.  Exits nonzero on \
+             violation.")
   in
   let domains_arg =
     Arg.(
@@ -814,15 +814,11 @@ let bench_stream_cmd =
       if total_ns > 0.0 then float_of_int n_ok /. (total_ns /. 1e9) else 0.0
     in
     let goodput_rps = if wall_ns > 0.0 then float_of_int n_ok /. (wall_ns /. 1e9) else 0.0 in
-    (* order-independent bitwise digest of every served output: XOR of the
-       per-request checksum bit patterns.  Lets CI compare two whole runs
-       (e.g. --opt 3 vs --opt 0) for bitwise equality across processes
-       without shipping the outputs; all-zero without --exec *)
-    let stream_checksum =
-      List.fold_left
-        (fun acc r -> Int64.logxor acc (Int64.bits_of_float r.Serving.Server.checksum))
-        0L responses
-    in
+    (* order-independent digest of every served output bit
+       ({!Serving.Stream.digest}).  Lets CI compare two whole runs (e.g.
+       --opt 3 vs --opt 0) for bitwise equality across processes without
+       shipping the outputs; all-zero without --exec *)
+    let stream_checksum = Serving.Stream.digest responses in
     let sum f = List.fold_left (fun acc r -> acc + f r) 0 responses in
     let c_hits = sum (fun r -> r.Serving.Server.compile_hits)
     and c_misses = sum (fun r -> r.Serving.Server.compile_misses) in
@@ -1100,9 +1096,8 @@ let bench_stream_cmd =
               Serving.Server.create ~compile_cache:(not no_cc)
                 ~prelude_cache:(not no_pc) ~execute:exec ~engine ~opt ()
             in
-            let rs = Serving.Stream.replay_trace s wl tr in
             let model = ref 0.0 and wall = ref 0.0 and n = ref 0 in
-            Array.iteri
+            List.iteri
               (fun i (r : Serving.Server.response) ->
                 match tr.Serving.Stream.events.(i).Serving.Stream.phase with
                 | Serving.Stream.Decode k when k >= 2 ->
@@ -1113,7 +1108,7 @@ let bench_stream_cmd =
                       +. Option.value ~default:0.0
                            (List.assoc_opt "prelude" r.Serving.Server.stages_us)
                 | _ -> ())
-              rs;
+              (Serving.Stream.replay s wl stream);
             (!model, !wall, !n)
           in
           let rebuild_w = { w with Serving.Workload.prev_tables = None } in
@@ -1227,75 +1222,23 @@ let bench_stream_cmd =
             "smoke: tile padding waste %.4f exceeds the one-request-one-batch baseline %.4f"
             padding_waste_frac unbatched_padding_waste_frac
       end;
-      (* concurrent/batched path: every request must have been served,
-         with a checksum bitwise-identical to a serial unbatched replay
-         of the same stream *)
-      (if (concurrent || batching_active) && exec then begin
-         let serial = Serving.Stream.replay srv w stream in
-         List.iteri
-           (fun i (rs : Serving.Server.response) ->
-             match outcomes.(i) with
-             | Serving.Frontend.Response rc ->
-                 if
-                   Int64.bits_of_float rc.Serving.Server.checksum
-                   <> Int64.bits_of_float rs.Serving.Server.checksum
-                 then
-                   Fmt.failwith
-                     "smoke: request %d: concurrent checksum %h diverges from serial %h" i
-                     rc.Serving.Server.checksum rs.Serving.Server.checksum
-             | o ->
-                 Fmt.failwith "smoke: request %d not served (%s)" i
-                   (Serving.Frontend.outcome_label o))
-           serial
-       end);
-      (* compiled engine: first-window outputs must be bit-identical to a
-         fresh interpreter replay of the same requests *)
-      (if exec && engine = `Compiled && not concurrent then
-         let srv_i =
-           Serving.Server.create ~compile_cache:(not no_cc) ~prelude_cache:(not no_pc)
-             ~execute:true ~engine:`Interp ()
-         in
-         let first = { stream with Serving.Stream.items = Array.sub stream.items 0 wsize } in
-         let interp_responses = Serving.Stream.replay srv_i w first in
-         List.iteri
-           (fun i (ri : Serving.Server.response) ->
-             let rc = List.nth responses i in
-             match (ri.Serving.Server.out, rc.Serving.Server.out) with
-             | Some a, Some b ->
-                 let bits = Array.map Int64.bits_of_float in
-                 if bits a <> bits b then
-                   Fmt.failwith "smoke: request %d: compiled and interp outputs differ" i
-             | _ -> Fmt.failwith "smoke: request %d missing outputs" i)
-           interp_responses);
-      (* autotune: the tuner may only move data-axis loop structure, so
-         every served checksum must be bitwise what a fresh untuned
-         server produces for the same stream *)
-      (if autotune && exec then begin
-         if tuner_totals.Autotune.Tuner.t_tunes = 0 then
-           Fmt.failwith "smoke: autotune enabled but no tune ever ran";
-         if Autotune.Tuner.memo_size () = 0 then
-           Fmt.failwith "smoke: autotune memo is empty after the replay";
-         let srv_u =
-           Serving.Server.create ~compile_cache:(not no_cc) ~prelude_cache:(not no_pc)
-             ~execute:true ~engine ~opt ()
-         in
-         let untuned = Serving.Stream.replay srv_u w stream in
-         List.iteri
-           (fun i (ru : Serving.Server.response) ->
-             match outcomes.(i) with
-             | Serving.Frontend.Response rt ->
-                 if
-                   Int64.bits_of_float rt.Serving.Server.checksum
-                   <> Int64.bits_of_float ru.Serving.Server.checksum
-                 then
-                   Fmt.failwith
-                     "smoke: request %d: autotuned checksum %h diverges from untuned %h" i
-                     rt.Serving.Server.checksum ru.Serving.Server.checksum
-             | o ->
-                 Fmt.failwith "smoke: request %d not served (%s)" i
-                   (Serving.Frontend.outcome_label o))
-           untuned
-       end);
+      (* every served output, bitwise against the cache-bypassed
+         interpreter reference (one serve per distinct vector); an
+         outcome that is not a response is a mismatch too *)
+      (if exec then
+         match Serving.Stream.check w stream.Serving.Stream.items outcomes with
+         | [] -> ()
+         | i :: _ as bad ->
+             Fmt.failwith
+               "smoke: %d of %d outputs differ from the reference (first: request %d, %s)"
+               (List.length bad) requests i
+               (Serving.Frontend.outcome_label outcomes.(i)));
+      if autotune && exec then begin
+        if tuner_totals.Autotune.Tuner.t_tunes = 0 then
+          Fmt.failwith "smoke: autotune enabled but no tune ever ran";
+        if Autotune.Tuner.memo_size () = 0 then
+          Fmt.failwith "smoke: autotune memo is empty after the replay"
+      end;
       (* decode: the delta path must actually carry the stream (tables
          delta-updated during the main replay) and pay at most half the
          rebuild's modeled prelude cost on steady-state steps.  The

@@ -229,12 +229,12 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
      steady-state request does exactly one lookup — same work as a hand
      server — and gets back the job to serve, the tuner state to report
      and the job's modeled kernel time.
-     Keys are mode-prefixed ("auto|<opt>" vs "hand"), so an autotuned and
-     an untuned server sharing one workload value can never read each
-     other's entries (decisions do not depend on the opt level in the
-     auto prefix; perfbench's replay recomputes that prefix), and auto
-     entries are epoch-tagged so a [Autotune.Tuner.clear] invalidates
-     them wholesale.  Only a miss (an
+     Keys are mode-prefixed ("auto|<opt>" vs "hand"; perfbench's replay
+     recomputes the prefix), so an autotuned and an untuned server sharing
+     one workload value never read each other's entries, and an entry
+     from another opt level ([c_opt]) is a miss that the insert replaces.
+     Auto entries are epoch-tagged so a [Autotune.Tuner.clear]
+     invalidates them wholesale.  Only a miss (an
      unseen shape, or the first sighting after a wipe) pays the Sig work
      of the canonical tuner key; a true tuner miss additionally serves
      the hand schedule now and runs a budgeted tune after the response's
@@ -251,6 +251,7 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
     | None -> "hand"
   in
   let jkey = jkey_prefix ^ lens_key in
+  let level = Some (Ir.Optimize.int_of_level srv.opt) in
   let state_of (d : Autotune.Tuner.decision) =
     if d.Autotune.Tuner.point = None then "hand" else "tuned"
   in
@@ -266,7 +267,7 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
             c_job = job;
             c_plan = plan;
             c_state = state;
-            c_opt = None;
+            c_opt = level;
             c_sig = sig_;
             c_pkey = pkey;
             c_kernels_ns = kernels_ns;
@@ -305,7 +306,9 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
     let cached =
       if srv.compile_cache then
         match Cache.find w.Workload.job_cache jkey with
-        | Some cj when auto = None || cj.Workload.c_epoch = ep -> Some cj
+        | Some cj
+          when (auto = None || cj.Workload.c_epoch = ep) && cj.Workload.c_opt = level ->
+            Some cj
         | _ -> None
       else None
     in

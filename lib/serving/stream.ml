@@ -69,12 +69,6 @@ let generate_trace ~(workload : Workload.t) ?(sessions = 8) ?(steps = 8) ?(burst
   done;
   { t_seed = seed; sessions; steps; events = Array.of_list (List.rev !events) }
 
-(* Serial oracle: one request at a time, in session-major step order (the
-   per-session order every driver must preserve; cross-session order is
-   irrelevant to the outputs, which depend only on the lens vector). *)
-let replay_trace (srv : Server.t) (w : Workload.t) (tr : trace) : Server.response array =
-  Array.map (fun (e : event) -> Server.handle srv w e.lens) tr.events
-
 (* Concurrent driver: per-session software pipelining through a
    front-end.  Step [t+1] of a session is submitted only after its step
    [t] resolved — the KV-cache append semantics, and what guarantees the
@@ -112,3 +106,47 @@ let run_trace ?(pace = 0.0) (fe : Frontend.t) (w : Workload.t) (tr : trace) :
       | Some (i, tk) -> out.(i) <- Some (tr.events.(i), Frontend.await tk) | None -> ())
     tickets;
   Array.map (function Some r -> r | None -> assert false) out
+
+(* ---- The reference ----
+
+   One oracle for every served output: a cache-bypassed, untuned, serial
+   interpreter server, run once per distinct vector.  It shares no cache
+   with the run it checks, so a stale cached job cannot agree with itself. *)
+
+let reference (w : Workload.t) (items : int array array) : float array array =
+  let srv = Server.create ~compile_cache:false ~prelude_cache:false ~engine:`Interp () in
+  let seen = Hashtbl.create 8 in
+  let serve lens =
+    let out = Option.get (Server.handle srv w lens).Server.out in
+    Hashtbl.add seen lens out;
+    out
+  in
+  Array.map (fun l -> match Hashtbl.find_opt seen l with Some o -> o | None -> serve l) items
+
+let check w items (outcomes : Frontend.outcome array) =
+  if Array.length outcomes <> Array.length items then invalid_arg "Stream.check";
+  let refs = reference w items and bits = Array.map Int64.bits_of_float in
+  List.filter
+    (fun i ->
+      match outcomes.(i) with
+      | Frontend.Response { Server.out = Some out; _ } -> bits out <> bits refs.(i)
+      | _ -> true)
+    (List.init (Array.length items) Fun.id)
+
+(* FNV-1a over the bytes of every output value's bit pattern, one hash per
+   response; summing the hashes mod 2^64 ignores response order, and equal
+   responses add up rather than cancel. *)
+let digest (rs : Server.response list) =
+  let fnv h x =
+    let h = ref h in
+    for b = 0 to 7 do
+      let byte = Int64.(logand (shift_right_logical x (8 * b)) 0xffL) in
+      h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+    done;
+    !h
+  in
+  let hash = Array.fold_left (fun h v -> fnv h (Int64.bits_of_float v)) 0xcbf29ce484222325L in
+  List.fold_left
+    (fun acc (r : Server.response) ->
+      Option.fold ~none:acc ~some:(fun a -> Int64.add acc (hash a)) r.Server.out)
+    0L rs

@@ -67,10 +67,6 @@ val generate_trace :
   unit ->
   trace
 
-(** Serial oracle: one request at a time, session-major step order.
-    Returns one response per event, aligned with [trace.events]. *)
-val replay_trace : Server.t -> Workload.t -> trace -> Server.response array
-
 (** Concurrent driver: per-session software pipelining through the
     front-end — a session's step [t+1] is submitted only after its step
     [t] resolves, while distinct sessions overlap freely.  [pace > 0]
@@ -79,3 +75,20 @@ val replay_trace : Server.t -> Workload.t -> trace -> Server.response array
     (event, outcome) pairs aligned with [trace.events]. *)
 val run_trace :
   ?pace:float -> Frontend.t -> Workload.t -> trace -> (event * Frontend.outcome) array
+
+(** {2 The reference} *)
+
+(** [reference w items] — each item's dense output from a cache-bypassed
+    ([~compile_cache:false ~prelude_cache:false]), untuned, serial
+    [`Interp] server that serves each distinct vector once. *)
+val reference : Workload.t -> int array array -> float array array
+
+(** [check w items outcomes] — the ascending indices of the outcomes
+    (aligned with [items]; [Invalid_argument] otherwise) that are not a
+    {!Frontend.Response} whose [out] is bitwise [reference w items]'s. *)
+val check : Workload.t -> int array array -> Frontend.outcome array -> int list
+
+(** Order-independent digest of every output bit: FNV-1a over each
+    response's [out], summed mod 2^64, so equal responses do not cancel.
+    A response without [out] adds nothing. *)
+val digest : Server.response list -> int64

@@ -108,8 +108,8 @@ type cached_job = {
   c_plan : plan;  (** the plan [c_job] was instantiated from *)
   c_state : string;  (** tuner state to report: ["off"], ["hand"], ["tuned"] *)
   c_opt : int option;
-      (** always [None]: schedule points carry no engine opt level.  Kept
-          only because perfbench's replay reads the field *)
+      (** the inserting server's {!Ir.Optimize.int_of_level}, which
+          [c_plan]'s handles were compiled at; other levels miss on it *)
   c_sig : Cora.Sig.t;  (** [Sig.of_tables c_job.tables], precomputed *)
   c_pkey : Cora.Sig.t;  (** {!Cora.Prelude_cache.key_of}, precomputed *)
   c_kernels_ns : float;

@@ -306,11 +306,8 @@ let digest =
     0xcbf29ce484222325L
 
 let test_golden_checksums () =
-  (* fresh workload values per server: the untuned job memo is keyed by
-     raggedness vector alone, so an O0 and an O3 server must not share one *)
-  List.iteri
-    (fun i (w : Serving.Workload.t) ->
-      let fresh () = List.nth (golden_workloads ()) i in
+  List.iter
+    (fun (w : Serving.Workload.t) ->
       let name = w.Serving.Workload.name in
       let want_sum, want_digest = List.assoc name golden in
       let shapes =
@@ -326,8 +323,7 @@ let test_golden_checksums () =
       Serving.Server.reset_caches ();
       check "interp" (serve (Serving.Server.create ()) w);
       let o3 = Serving.Server.create ~engine:`Compiled ~opt:Ir.Optimize.O3 () in
-      let w3 = fresh () in
-      check "O3" (serve o3 w3);
+      check "O3" (serve o3 w);
       if Option.is_some w.Serving.Workload.batching then begin
         let members =
           Array.mapi
@@ -335,7 +331,7 @@ let test_golden_checksums () =
               { Serving.Batcher.m_lens = lens; m_deadline_us = infinity; m_id = i })
             shapes
         in
-        let outs = Serving.Batcher.run Serving.Batcher.default_config o3 w3 members in
+        let outs = Serving.Batcher.run Serving.Batcher.default_config o3 w members in
         let resps =
           Array.to_list outs
           |> List.map (function
@@ -443,6 +439,114 @@ let test_row_fill () =
           done)
     (golden_workloads ())
 
+(* The reference: [Stream.reference] serves each distinct vector once on
+   a cache-bypassed interpreter server, and [Stream.check] holds served
+   outcomes to it bit for bit. *)
+let bypass_interp () =
+  Serving.Server.create ~compile_cache:false ~prelude_cache:false ~engine:`Interp ()
+
+let test_reference_is_bypass () =
+  List.iter
+    (fun (w : Serving.Workload.t) ->
+      let items =
+        (Serving.Stream.generate ~workload:w ~pool:3 ~n:6 ~seed:11 ()).Serving.Stream.items
+      in
+      let refs = Serving.Stream.reference w items in
+      Array.iteri
+        (fun i lens ->
+          let want = get_out (Serving.Server.handle (bypass_interp ()) w lens) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s item %d: reference == bypass serve" w.Serving.Workload.name i)
+            true (bits_equal want refs.(i)))
+        items)
+    (golden_workloads ())
+
+let test_reference_serves_once () =
+  let w = List.hd (workloads ()) in
+  let builds = ref 0 in
+  let counted =
+    {
+      w with
+      Serving.Workload.build =
+        (fun lens ->
+          incr builds;
+          w.Serving.Workload.build lens);
+    }
+  in
+  let rng = Workloads.Rng.create 3 in
+  let a = w.Serving.Workload.sample rng and b = w.Serving.Workload.sample rng in
+  Alcotest.(check bool) "two distinct vectors" true (a <> b);
+  let items = [| a; b; a; a; b; a |] in
+  ignore (Serving.Stream.reference counted items);
+  Alcotest.(check int) "one serve per distinct vector"
+    (List.length (List.sort_uniq compare (Array.to_list items)))
+    !builds
+
+let test_reference_mismatches () =
+  let w = List.hd (workloads ()) in
+  let items =
+    (Serving.Stream.generate ~workload:w ~pool:2 ~n:4 ~seed:13 ()).Serving.Stream.items
+  in
+  let srv = Serving.Server.create ~engine:`Compiled ~opt:Ir.Optimize.O3 () in
+  let outcomes =
+    Array.map (fun lens -> Serving.Frontend.Response (Serving.Server.handle srv w lens)) items
+  in
+  Alcotest.(check (list int)) "served outcomes match" [] (Serving.Stream.check w items outcomes);
+  (match outcomes.(1) with
+  | Serving.Frontend.Response r ->
+      let out = Array.copy (get_out r) in
+      out.(0) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float out.(0)) 1L);
+      outcomes.(1) <- Serving.Frontend.Response { r with Serving.Server.out = Some out }
+  | _ -> Alcotest.fail "not served");
+  outcomes.(3) <- Serving.Frontend.Overloaded;
+  Alcotest.(check (list int)) "flipped bit and non-response" [ 1; 3 ]
+    (Serving.Stream.check w items outcomes)
+
+let test_digest () =
+  let w = List.hd (workloads ()) in
+  let rng = Workloads.Rng.create 5 in
+  let srv = Serving.Server.create () in
+  let a = Serving.Server.handle srv w (w.Serving.Workload.sample rng) in
+  let b = Serving.Server.handle srv w (w.Serving.Workload.sample rng) in
+  let hex rs = Printf.sprintf "%016Lx" (Serving.Stream.digest rs) in
+  Alcotest.(check bool) "equal responses do not cancel" true (hex [ a; a ] <> hex []);
+  Alcotest.(check string) "order-independent" (hex [ a; b ]) (hex [ b; a ]);
+  Alcotest.(check string) "no output adds nothing" (hex [ a ])
+    (hex [ a; { b with Serving.Server.out = None } ]);
+  let out = Array.copy (get_out a) in
+  out.(0) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float out.(0)) 1L);
+  Alcotest.(check bool) "one flipped bit changes it" true
+    (hex [ a ] <> hex [ { a with Serving.Server.out = Some out } ])
+
+(* An O0 and an O3 compiled server share each workload value, so each
+   finds the job-memo entries the other inserted.  An entry from another
+   level is a miss: its plan's handles were compiled at that level. *)
+let test_levels_share_job_memo () =
+  List.iter
+    (fun (w : Serving.Workload.t) ->
+      Serving.Server.reset_caches ();
+      let o0 = Serving.Server.create ~engine:`Compiled ~opt:Ir.Optimize.O0 () in
+      let o3 = Serving.Server.create ~engine:`Compiled ~opt:Ir.Optimize.O3 () in
+      let shapes =
+        (Serving.Stream.generate ~workload:w ~pool:3 ~n:3 ~seed:17 ()).Serving.Stream.shapes
+      in
+      let serve srv lens = Serving.Frontend.Response (Serving.Server.handle srv w lens) in
+      let rounds = [ [ o0; o3 ]; [ o3; o0 ] ] in
+      let served =
+        List.concat_map
+          (fun order ->
+            List.concat_map
+              (fun lens -> List.map (fun srv -> (lens, serve srv lens)) order)
+              (Array.to_list shapes))
+          rounds
+      in
+      let items = Array.of_list (List.map fst served) in
+      let outcomes = Array.of_list (List.map snd served) in
+      Alcotest.(check (list int))
+        (w.Serving.Workload.name ^ ": every outcome equals the reference")
+        [] (Serving.Stream.check w items outcomes))
+    (golden_workloads ())
+
 let () =
   let diff =
     List.map
@@ -466,6 +570,16 @@ let () =
         [
           Alcotest.test_case "row fill == default_fill, solo and mega" `Quick test_row_fill;
           Alcotest.test_case "golden stream checksums" `Quick test_golden_checksums;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "reference == fresh bypass serve" `Quick test_reference_is_bypass;
+          Alcotest.test_case "one serve per distinct vector" `Quick test_reference_serves_once;
+          Alcotest.test_case "flipped bit and non-response mismatch" `Quick
+            test_reference_mismatches;
+          Alcotest.test_case "stream digest" `Quick test_digest;
+          Alcotest.test_case "O0 and O3 servers share a job memo" `Quick
+            test_levels_share_job_memo;
         ] );
       ( "deadlines",
         [
