@@ -149,6 +149,23 @@ ejson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_encoder.txt")
 echo "$ejson" | grep -q '"workload":"encoder"' \
   || { echo "ci: no encoder BENCH_STREAM line" >&2; exit 1; }
 
+echo "== perfbench --trace 1 on every benchmark workload" >&2
+# The serving benchmark's traced mode re-runs each served request from the
+# server's job memo (perfbench/wb.ml reads its entries' job, prelude key
+# and level) and counts a request as failed unless its checksum is
+# bitwise the cache-bypassed interpreter's.  perfbench's selftest covers
+# only the untraced measure; this runs the traced replay end to end, one
+# second per workload, and requires every request correct.
+for wl in encoder_mnli decode_trace fig1_batched; do
+  bash perfbench/run.sh --workload "$wl" --seed 1 --seconds 1 --trace 1 \
+    > "$tmpdir/perfbench_$wl.txt"
+  pb=$(tail -n 1 "$tmpdir/perfbench_$wl.txt")
+  printf '%s\n' "$pb" | grep -q '"correct": *true' \
+    || { echo "ci: perfbench $wl --trace 1 is not correct" >&2; exit 1; }
+  printf '%s\n' "$pb" | grep -q '"failed": *0[,}]' \
+    || { echo "ci: perfbench $wl --trace 1 reports failed requests" >&2; exit 1; }
+done
+
 echo "== bench engine — O3/O0 speedup floor and bound variants" >&2
 # Deterministic half: the O3 microkernel variants each runner's kernels bind
 # at closure-build time (BENCH_ENGINE lists the nonzero

@@ -383,6 +383,10 @@ let bench_stream_workloads = [ "fig1"; "vgemm"; "trmm"; "encoder"; "decode" ]
    alternate their two sides and report per-side medians. *)
 let median l = Obs.Metrics.percentile_of (Array.of_list l) 50.0
 let steady_windows = 5
+
+(* Latency windows a stream is cut into for the per-window p50s and the
+   window-boundary samples. *)
+let latency_windows = 4
 let decode_reps = 3
 
 (* Bench-scale adapters: paper-scale vgemm/encoder instances are far too
@@ -406,10 +410,6 @@ let bench_workload ~dataset = function
    --openmetrics render. *)
 let sample_runtime_gauges () =
   Obs.Exposition.sample_gc_gauges ();
-  Obs.Metrics.set (Obs.Metrics.gauge "cache.compile_entries") (Cora.Lower.memo_size ());
-  Obs.Metrics.set (Obs.Metrics.gauge "cache.prelude_entries") (Cora.Prelude_cache.size ());
-  Obs.Metrics.set (Obs.Metrics.gauge "cache.plan_entries")
-    (Serving.Workload.plan_stats ()).Cora.Cache.entries;
   (* per-cache hit/miss/eviction/occupancy gauges for every registered
      bounded memo (compile, prelude, plan, tuner memo, per-workload job
      memos) *)
@@ -441,15 +441,6 @@ let bench_stream_cmd =
     Arg.(value & opt int 4 & info [ "pool" ] ~doc:"Distinct batch shapes in the stream.")
   in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Stream RNG seed.") in
-  let windows_arg =
-    Arg.(value & opt int 4 & info [ "windows" ] ~doc:"Latency windows for per-window p50.")
-  in
-  let no_cc_flag =
-    Arg.(value & flag & info [ "no-compile-cache" ] ~doc:"Bypass the compile cache.")
-  in
-  let no_pc_flag =
-    Arg.(value & flag & info [ "no-prelude-cache" ] ~doc:"Bypass the prelude cache.")
-  in
   let exec_flag =
     Arg.(
       value & flag
@@ -542,15 +533,6 @@ let bench_stream_cmd =
             "How long a forming batch window stays open for more requests once it has \
              one, in milliseconds (with --batching --domains > 1).")
   in
-  let tile_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "tile" ]
-          ~doc:
-            "Row-length alignment quantum for the bin-packer (with --batching).  0 \
-             (default) picks the workload's natural tile: fig1 4, vgemm/trmm 8, encoder \
-             32.")
-  in
   let trace_out_arg =
     Arg.(
       value
@@ -580,11 +562,9 @@ let bench_stream_cmd =
             "Render the metrics registry as OpenMetrics text to $(docv) after the replay \
              (self-validated by re-parsing).")
   in
-  let run workload dataset requests pool seed windows no_cc no_pc exec engine opt domains
-      deadline_ms batching max_batch max_wait_ms tile trace_out flight_out openmetrics_out
-      autotune smoke =
-    if requests <= 0 || pool <= 0 || windows <= 0 then
-      Fmt.failwith "requests, pool and windows must be positive";
+  let run workload dataset requests pool seed exec engine opt domains deadline_ms batching
+      max_batch max_wait_ms trace_out flight_out openmetrics_out autotune smoke =
+    if requests <= 0 || pool <= 0 then Fmt.failwith "requests and pool must be positive";
     if domains <= 0 then Fmt.failwith "domains must be positive";
     if batching && max_batch < 1 then Fmt.failwith "max-batch must be >= 1";
     if batching && max_wait_ms < 0.0 then Fmt.failwith "max-wait-ms must be >= 0";
@@ -597,10 +577,9 @@ let bench_stream_cmd =
     let deadline_ns = Option.map (fun ms -> ms *. 1e6) deadline_ms in
     let concurrent = domains > 1 || deadline_ns <> None in
     let w = bench_workload ~dataset workload in
-    let tile =
-      if tile > 0 then tile
-      else match workload with "vgemm" | "trmm" -> 8 | "encoder" -> 32 | _ -> 4
-    in
+    (* the bin-packer's row-length alignment quantum: the workload's
+       natural tile *)
+    let tile = match workload with "vgemm" | "trmm" -> 8 | "encoder" -> 32 | _ -> 4 in
     (* trmm carries no batching descriptor: the front-end serves it as
        singletons, and the serial driver falls back to the plain replay *)
     let batching_active = batching && Option.is_some w.Serving.Workload.batching in
@@ -609,8 +588,7 @@ let bench_stream_cmd =
     Serving.Server.reset_caches ();
     Runtime.Buffer.Arena.clear Runtime.Buffer.Arena.global;
     let srv =
-      Serving.Server.create ~compile_cache:(not no_cc) ~prelude_cache:(not no_pc)
-        ~execute:exec ~engine ~opt
+      Serving.Server.create ~execute:exec ~engine ~opt
         ?autotune:(if autotune then Some Autotune.Tuner.default_cfg else None)
         ()
     in
@@ -646,7 +624,7 @@ let bench_stream_cmd =
     (* decode smoke arms the differential self-check: every delta-updated
        table is compared against a from-scratch build as it is produced *)
     if smoke && is_decode then Cora.Prelude.set_delta_check true;
-    let windows = min windows requests in
+    let windows = min latency_windows requests in
     let wsize = requests / windows in
     let arena_miss_now () = Obs.Metrics.value (Obs.Metrics.counter "arena.miss") in
     let queue_depth_now () =
@@ -940,10 +918,7 @@ let bench_stream_cmd =
     let steady_hand_rps, steady_tuned_rps =
       if (not autotune) || concurrent || batching_active then (0.0, 0.0)
       else begin
-        let srv_h =
-          Serving.Server.create ~compile_cache:(not no_cc) ~prelude_cache:(not no_pc)
-            ~execute:exec ~engine ~opt ()
-        in
+        let srv_h = Serving.Server.create ~execute:exec ~engine ~opt () in
         ignore (Serving.Stream.replay srv_h w stream);
         ignore (Serving.Stream.replay srv w stream);
         let time_one s =
@@ -972,8 +947,6 @@ let bench_stream_cmd =
           ("seed", Obs.Json.Int seed);
           ("requests", Obs.Json.Int requests);
           ("pool", Obs.Json.Int pool);
-          ("compile_cache", Obs.Json.Bool (not no_cc));
-          ("prelude_cache", Obs.Json.Bool (not no_pc));
           ("execute", Obs.Json.Bool exec);
           ("domains", Obs.Json.Int domains);
           ( "deadline_ms",
@@ -1092,10 +1065,7 @@ let bench_stream_cmd =
              scratch in both modes. *)
           let steady_sum wl =
             Serving.Server.reset_caches ();
-            let s =
-              Serving.Server.create ~compile_cache:(not no_cc)
-                ~prelude_cache:(not no_pc) ~execute:exec ~engine ~opt ()
-            in
+            let s = Serving.Server.create ~execute:exec ~engine ~opt () in
             let model = ref 0.0 and wall = ref 0.0 and n = ref 0 in
             List.iteri
               (fun i (r : Serving.Server.response) ->
@@ -1171,19 +1141,15 @@ let bench_stream_cmd =
       (* hit-rate floors assume the solo request signatures repeat;
          mega-batch signatures depend on window composition, so under
          --batching only the structural checks apply *)
-      if not no_cc then begin
-        if (not batching_active) && compile_hit_rate <= 0.0 then
-          Fmt.failwith "smoke: compile cache never hit";
-        if Cora.Lower.memo_size () = 0 then Fmt.failwith "smoke: compile cache is empty"
-      end;
-      if not no_pc then begin
-        (* a decode trace never repeats a shape — its prelude economics
-           come from the delta path, asserted below, not from hits *)
-        if (not batching_active) && (not is_decode) && prelude_hit_rate <= 0.0 then
-          Fmt.failwith "smoke: prelude cache never hit";
-        if host_ns_on_hits <> 0.0 then
-          Fmt.failwith "smoke: prelude host work on hits is %g ns, expected 0" host_ns_on_hits
-      end;
+      if (not batching_active) && compile_hit_rate <= 0.0 then
+        Fmt.failwith "smoke: compile cache never hit";
+      if Cora.Lower.memo_size () = 0 then Fmt.failwith "smoke: compile cache is empty";
+      (* a decode trace never repeats a shape — its prelude economics come
+         from the delta path, asserted below, not from hits *)
+      if (not batching_active) && (not is_decode) && prelude_hit_rate <= 0.0 then
+        Fmt.failwith "smoke: prelude cache never hit";
+      if host_ns_on_hits <> 0.0 then
+        Fmt.failwith "smoke: prelude host work on hits is %g ns, expected 0" host_ns_on_hits;
       (* the cache-sensitive overhead must not rise again once warm *)
       let rec check_monotone i = function
         | prev :: (cur :: _ as rest) ->
@@ -1198,7 +1164,7 @@ let bench_stream_cmd =
       (* decode grows every shape monotonically (prelude entries and
          tensor sizes rise by construction), so the flat-steady-state
          windows below do not apply — its budget is the delta assertion *)
-      if (not no_pc) && (not concurrent) && (not batching_active) && not is_decode then
+      if (not concurrent) && (not batching_active) && not is_decode then
         check_monotone 0 window_overhead_p50;
       (* zero-allocation steady state: once the first window has populated
          the arena's size classes, later windows must not miss (serial
@@ -1244,15 +1210,15 @@ let bench_stream_cmd =
          rebuild's modeled prelude cost on steady-state steps.  The
          differential self-check armed above already vouched bitwise for
          every delta table. *)
-      (match decode_stats with
-      | Some (d_updated, delta_model, rebuild_model) when not no_pc ->
+      Option.iter
+        (fun (d_updated, delta_model, rebuild_model) ->
           if d_updated = 0 then
             Fmt.failwith "smoke: decode stream never delta-updated a prelude table";
           if rebuild_model > 0.0 && delta_model > 0.5 *. rebuild_model then
             Fmt.failwith
               "smoke: steady-state delta prelude %.0f ns exceeds half the rebuild's %.0f ns"
-              delta_model rebuild_model
-      | _ -> ());
+              delta_model rebuild_model)
+        decode_stats;
       Printf.eprintf "smoke: OK\n"
     end
   in
@@ -1263,10 +1229,9 @@ let bench_stream_cmd =
           prelude caches) and print a BENCH_STREAM JSON summary line.")
     Term.(
       const run $ workload_arg $ dataset_arg $ requests_arg $ pool_arg $ seed_arg
-      $ windows_arg $ no_cc_flag $ no_pc_flag $ exec_flag $ engine_arg $ opt_arg
-      $ domains_arg $ deadline_ms_arg $ batching_flag $ max_batch_arg $ max_wait_ms_arg
-      $ tile_arg $ trace_out_arg $ flight_out_arg $ openmetrics_arg $ autotune_flag
-      $ smoke_flag)
+      $ exec_flag $ engine_arg $ opt_arg $ domains_arg $ deadline_ms_arg $ batching_flag
+      $ max_batch_arg $ max_wait_ms_arg $ trace_out_arg $ flight_out_arg $ openmetrics_arg
+      $ autotune_flag $ smoke_flag)
 
 let () =
   let info = Cmd.info "cora" ~doc:"CoRa ragged tensor compiler — reproduction CLI." in

@@ -114,7 +114,6 @@ let build ?(dedup_defs = true) (defs : def list) (lenv : Lenfun.env) : built =
    Read-mostly flag shared across serving domains, hence Atomic. *)
 let delta_check = Atomic.make false
 let set_delta_check b = Atomic.set delta_check b
-let delta_check_enabled () = Atomic.get delta_check
 
 let value_equal a b =
   match (a, b) with

@@ -66,8 +66,6 @@ val delta_update : ?dedup_defs:bool -> prev:built -> old_lenv:Lenfun.env -> def 
     [--smoke]). *)
 val set_delta_check : bool -> unit
 
-val delta_check_enabled : unit -> bool
-
 (** Bitwise equality of prelude values. *)
 val value_equal : value -> value -> bool
 

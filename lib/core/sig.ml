@@ -382,9 +382,7 @@ let with_ctx f =
   f ctx;
   Buffer.contents ctx.b
 
-let of_expr e = with_ctx (fun ctx -> emit_expr ctx e)
 let of_stmt s = with_ctx (fun ctx -> emit_stmt ctx s)
-let of_op op = with_ctx (fun ctx -> emit_op ctx op)
 let of_schedule s = with_ctx (fun ctx -> emit_schedule ctx s)
 
 let lowering_key ?(ranges : (int * Schedule.range_mode) list = []) ?(init = true)

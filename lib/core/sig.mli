@@ -38,19 +38,16 @@ val combine : t list -> t
 (** Signature of a raw string key component (e.g. a workload name). *)
 val of_string : string -> t
 
-val of_expr : Ir.Expr.t -> t
 val of_stmt : Ir.Stmt.t -> t
 
-(** Operator signature: loop/reduction extents, body, init, epilogue,
-    reduction combinator, and the storage declarations (extents, padding,
-    bulk padding, names) of the output and every read tensor. *)
-val of_op : Op.t -> t
-
-(** Schedule signature: {!of_op} plus the complete axis forest (origins,
-    split factors, fusion kinds, paddings, bindings, remap and elision
-    flags), leaf order, guard mode, hoisting, efficiency and boundedness.
-    Axes are numbered canonically, so two independently built, identical
-    schedules agree. *)
+(** Schedule signature: the operator (loop/reduction extents, body,
+    init, epilogue, reduction combinator, and the storage declarations —
+    extents, padding, bulk padding, names — of the output and every read
+    tensor) plus the complete axis forest (origins, split factors, fusion
+    kinds, paddings, bindings, remap and elision flags), leaf order,
+    guard mode, hoisting, efficiency and boundedness.  Axes are numbered
+    canonically, so two independently built, identical schedules
+    agree. *)
 val of_schedule : Schedule.t -> t
 
 (** The full memoization key for one {!Lower.lower} call: {!of_schedule}

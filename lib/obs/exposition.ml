@@ -54,10 +54,12 @@ let to_openmetrics () =
 
 (* ---------------- validation ---------------- *)
 
-(* Strict enough for our own output: TYPE lines introduce a family;
-   histogram families must emit strictly increasing [le] bounds with
-   non-decreasing cumulative counts, end on [+Inf], and agree with
-   [_count]; every sample line must belong to the family in scope. *)
+(* Strict enough for our own output: TYPE lines introduce a family, at
+   most once per name (two metrics whose names sanitize alike render as
+   one family twice); histogram families must emit strictly increasing
+   [le] bounds with non-decreasing cumulative counts, end on [+Inf], and
+   agree with [_count]; every sample line must belong to the family in
+   scope. *)
 
 exception Bad of string
 
@@ -65,6 +67,7 @@ let validate (doc : string) : (int, string) result =
   let lines = String.split_on_char '\n' doc in
   let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
   let families = ref 0 in
+  let seen = Hashtbl.create 64 in
   (* state of the histogram family in scope *)
   let cur = ref None (* (name, kind) *) in
   let h_last_le = ref neg_infinity in
@@ -148,6 +151,8 @@ let validate (doc : string) : (int, string) result =
           finish_family ();
           match String.split_on_char ' ' line with
           | [ "#"; "TYPE"; name; kind ] ->
+              if Hashtbl.mem seen name then fail "%s: repeated TYPE line" name;
+              Hashtbl.add seen name ();
               cur := Some (name, kind);
               incr families;
               h_last_le := neg_infinity;

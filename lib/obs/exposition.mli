@@ -7,10 +7,10 @@
 val to_openmetrics : unit -> string
 
 (** Re-parse a rendered document and check scraper invariants: every
-    sample belongs to a [# TYPE] family; histogram [le] bounds strictly
-    increase with non-decreasing cumulative counts, end at [+Inf], and
-    agree with [_count]; [_sum] present; the [# EOF] terminator closes
-    the document.  Returns the number of metric families on success. *)
+    sample belongs to a [# TYPE] family and no family is typed twice;
+    histogram [le] bounds strictly increase with non-decreasing
+    cumulative counts, end at [+Inf], and agree with [_count]; [_sum]
+    present; the [# EOF] terminator closes the document.  Returns the number of metric families on success. *)
 val validate : string -> (int, string) result
 
 (** Set the [runtime.gc.*] gauges from [Gc.quick_stat]; called by the

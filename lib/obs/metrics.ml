@@ -153,13 +153,11 @@ let histogram name =
 let add c n = ignore (Atomic.fetch_and_add c.cells.(shard_id ()) n)
 let incr c = add c 1
 let value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
-let counter_name c = c.c_name
 
 (* ---------------- gauges ---------------- *)
 
 let set g n = Atomic.set g.cell n
 let gauge_value g = Atomic.get g.cell
-let gauge_name g = g.g_name
 
 (* ---------------- histograms ---------------- *)
 
@@ -330,8 +328,6 @@ let cumulative_buckets h =
       end)
     m.m_buckets;
   List.rev !out
-
-let histogram_name h = h.h_name
 
 (* ---------------- registry-wide operations ---------------- *)
 

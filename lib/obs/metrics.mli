@@ -29,11 +29,9 @@ val histogram : string -> histogram
 val add : counter -> int -> unit
 val incr : counter -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
-val gauge_name : gauge -> string
 
 (** Record one sample: a handful of plain writes to the calling
     domain's private shard — no lock, no atomic, no per-sample
@@ -83,8 +81,6 @@ val summarize : histogram -> hsummary
     increasing bound order — the OpenMetrics [le] series.  The implicit
     [+Inf] bucket is not included; its cumulative count is {!count}. *)
 val cumulative_buckets : histogram -> (float * int) list
-
-val histogram_name : histogram -> string
 
 (** Zero counters/gauges and empty histograms; handles stay valid. *)
 val reset : unit -> unit

@@ -8,7 +8,6 @@ type t = F of float array | I of int array
 let float_buf n = F (Array.make n 0.0)
 let int_buf n = I (Array.make n 0)
 let of_floats a = F a
-let of_ints a = I a
 
 let length = function F a -> Array.length a | I a -> Array.length a
 
@@ -23,13 +22,8 @@ let ints = function
 let get_float b i =
   match b with F a -> a.(i) | I a -> float_of_int a.(i)
 
-let get_int b i =
-  match b with I a -> a.(i) | F a -> int_of_float a.(i)
-
 let set_float b i v =
   match b with F a -> a.(i) <- v | I a -> a.(i) <- int_of_float v
-
-let set_int b i v = match b with I a -> a.(i) <- v | F a -> a.(i) <- float_of_int v
 
 (** Size in bytes, assuming 4-byte elements (the paper evaluates in fp32 and
     reports aux-structure sizes in kB assuming 4-byte ints). *)

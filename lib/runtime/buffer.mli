@@ -6,7 +6,6 @@ type t = F of float array | I of int array
 val float_buf : int -> t
 val int_buf : int -> t
 val of_floats : float array -> t
-val of_ints : int array -> t
 val length : t -> int
 
 (** Raises on the wrong variant. *)
@@ -14,9 +13,7 @@ val floats : t -> float array
 
 val ints : t -> int array
 val get_float : t -> int -> float
-val get_int : t -> int -> int
 val set_float : t -> int -> float -> unit
-val set_int : t -> int -> int -> unit
 
 (** Size in bytes (4-byte elements, matching the paper's fp32/int32). *)
 val bytes : t -> int

@@ -1632,8 +1632,6 @@ let compile ?(opt = Optimize.O0) (s : Stmt.t) : compiled =
   let entry = compile_stmt ctx ~par_ok:true s in
   { c_layout = finalize ctx; c_entry = entry }
 
-let slot_count c = c.c_layout.n_ints + c.c_layout.n_floats + c.c_layout.n_bools
-
 let frame (c : compiled) : frame =
   let l = c.c_layout in
   let nbufs = Array.length l.buf_names in

@@ -107,10 +107,6 @@ type frame
     lowering should have eliminated. *)
 val compile : ?opt:Ir.Optimize.level -> Ir.Stmt.t -> compiled
 
-(** Number of scalar slots (int + float + bool) the compiled kernel uses —
-    observability for the memo layer. *)
-val slot_count : compiled -> int
-
 (** Fresh frame with zeroed counters, no buffers bound, all uninterpreted
     functions unbound. *)
 val frame : compiled -> frame

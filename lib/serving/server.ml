@@ -110,7 +110,7 @@ type exec_stats = {
   x_arena_misses : int;
 }
 
-let execute ?lead ?handles (srv : t) (job : Workload.job)
+let execute ?lead ~handles (srv : t) (job : Workload.job)
     (built : Prelude.built) : counters * float array * exec_stats =
   let arena = Runtime.Buffer.Arena.global in
   let arena_hits = ref 0 and arena_misses = ref 0 in
@@ -163,19 +163,16 @@ let execute ?lead ?handles (srv : t) (job : Workload.job)
         fill_input ?lead:(Option.map (fun f -> f name) lead) name r)
     raggeds;
   (* Compiled-kernel tally of this request: a plan's handles compile
-     each kernel once (misses), warm handles are hits; without handles
-     every kernel compiles for this request. *)
-  let nkernels = List.length job.Workload.kernels in
+     each kernel once (misses), warm handles are hits. *)
   let engine_hits, engine_misses =
-    match (srv.engine, handles) with
-    | `Interp, _ -> (0, 0)
-    | `Compiled, Some h ->
-        let fresh = Exec.compile_handles h in
-        (nkernels - fresh, fresh)
-    | `Compiled, None -> (0, nkernels)
+    match srv.engine with
+    | `Interp -> (0, 0)
+    | `Compiled ->
+        let fresh = Exec.compile_handles handles in
+        (List.length job.Workload.kernels - fresh, fresh)
   in
   let env, _ =
-    Exec.run ~engine:srv.engine ~opt:srv.opt ~prelude:built ?handles ~lenv:job.Workload.lenv
+    Exec.run ~engine:srv.engine ~opt:srv.opt ~prelude:built ~handles ~lenv:job.Workload.lenv
       ~bindings:!bindings job.Workload.kernels
   in
   let out =
@@ -213,18 +210,16 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
     stages := (name, Obs.Trace_sink.now_us () -. t0) :: !stages;
     v
   in
-  (* The raggedness vector rendered once — suffix of every per-instance
-     memo key this request touches. *)
-  let render_lens ls =
+  (* The raggedness vector rendered once — suffix of the job-memo key. *)
+  let lens_key =
     let b = Buffer.create 48 in
     Array.iter
       (fun l ->
         Buffer.add_char b '|';
         Buffer.add_string b (string_of_int l))
-      ls;
+      lens;
     Buffer.contents b
   in
-  let lens_key = render_lens lens in
   (* The tuner decision is baked into the job memo: an autotuned server's
      steady-state request does exactly one lookup — same work as a hand
      server — and gets back the job to serve, the tuner state to report
@@ -245,56 +240,36 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
     | _ -> None
   in
   let ep = Autotune.Tuner.epoch () in
-  let jkey_prefix =
-    match auto with
-    | Some _ -> "auto|" ^ Ir.Optimize.level_name srv.opt
-    | None -> "hand"
+  let jkey =
+    (match auto with Some _ -> "auto|" ^ Ir.Optimize.level_name srv.opt | None -> "hand")
+    ^ lens_key
   in
-  let jkey = jkey_prefix ^ lens_key in
   let level = Some (Ir.Optimize.int_of_level srv.opt) in
   let state_of (d : Autotune.Tuner.decision) =
     if d.Autotune.Tuner.point = None then "hand" else "tuned"
   in
   (* [Cache.add] replaces, so a stale-epoch entry left behind by a
      [Autotune.Tuner.clear] is overwritten rather than kept forever.  Only
-     plan-served jobs (compile cache on) are memoized. *)
+     a caching server (compile cache on) memoizes jobs. *)
   let insert_cached job plan state sig_ pkey kernels_ns =
-    match plan with
-    | Some plan ->
-        Cache.add w.Workload.job_cache jkey
-          {
-            Workload.c_epoch = ep;
-            c_job = job;
-            c_plan = plan;
-            c_state = state;
-            c_opt = level;
-            c_sig = sig_;
-            c_pkey = pkey;
-            c_kernels_ns = kernels_ns;
-          }
-    | None -> ()
-  in
-  (* The job serving [lens] at schedule [point]: with the compile cache
-     on, from the plan of its structure (built on the first request of
-     that structure); without it, built from scratch with no plan. *)
-  let served_job point =
     if srv.compile_cache then
-      let plan, job, memo = Workload.plan w ?point ~opt:srv.opt lens in
-      let hits, misses =
-        match memo with
-        | Some m -> (m.Lower.hits, m.Lower.misses)
-        | None -> (List.length job.Workload.kernels, 0)
-      in
-      (job, Some plan, hits, misses)
-    else
-      let job, memo =
-        Lower.with_memo ~cache:false (fun () ->
-            match (point, w.Workload.tunable) with
-            | Some p, Some tn -> tn.Workload.build_tuned p lens
-            | _ -> w.Workload.build lens)
-      in
-      (job, None, memo.Lower.hits, memo.Lower.misses)
+      Cache.add w.Workload.job_cache jkey
+        {
+          Workload.c_epoch = ep;
+          c_job = job;
+          c_plan = plan;
+          c_state = state;
+          c_opt = level;
+          c_sig = sig_;
+          c_pkey = pkey;
+          c_kernels_ns = kernels_ns;
+        }
   in
+  (* The plan serving [lens] at a schedule point: with the compile cache
+     on, the memoized plan of its structure (built on the first request
+     of that structure); without it, a fresh plan built for this request
+     alone, which touches no cache. *)
+  let plan_of = if srv.compile_cache then Workload.plan else Workload.fresh_plan in
   (* [pending] carries the tune obligation (a true tuner miss) out of the
      compile stage; the tune itself runs after the staged pipeline.
      [baked] carries a memo hit's precomputed signature, prelude key and
@@ -317,7 +292,7 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
         (* the whole job is memoized: every kernel in it is a (stronger
            form of a) compile-memo hit — no Sig even gets computed *)
         ( cj.Workload.c_job,
-          Some cj.Workload.c_plan,
+          cj.Workload.c_plan,
           List.length cj.Workload.c_job.Workload.kernels,
           0,
           cj.Workload.c_state,
@@ -337,7 +312,12 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
                   (* serve the hand schedule now; tune post-pipeline *)
                   (None, "miss", Some (cfg, tn, key)))
         in
-        let job, plan, hits, misses = served_job point in
+        let plan, job, memo = plan_of w ?point ~opt:srv.opt lens in
+        let hits, misses =
+          match memo with
+          | Some m -> (m.Lower.hits, m.Lower.misses)
+          | None -> (List.length job.Workload.kernels, 0)
+        in
         (job, plan, hits, misses, state, pending, None)
   in
   (* Raggedness signature of the batch — the prelude-cache key, and the
@@ -348,51 +328,29 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
     | None -> Sig.of_tables job.Workload.tables
   in
   let tables_hex = Sig.to_hex tables_sig in
-  let defs_of plan (j : Workload.job) =
-    match plan with
-    | Some (p : Workload.plan) -> p.Workload.p_defs
-    | None -> List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) j.Workload.kernels
-  in
-  let pkey_of plan (j : Workload.job) = Prelude_cache.key_of ~tables_sig (defs_of plan j) in
-  let prelude_with ~pkey plan (j : Workload.job) =
-    let defs () = defs_of plan j in
+  let pkey_of (plan : Workload.plan) = Prelude_cache.key_of ~tables_sig plan.Workload.p_defs in
+  let prelude_with ~pkey (plan : Workload.plan) (j : Workload.job) =
+    let defs () = plan.Workload.p_defs in
     if srv.prelude_cache then
       match w.Workload.prev_tables with
       | Some prev_of ->
           (* Autoregressive workload: on a miss, delta-update from the
              predecessor step's cached prelude instead of rebuilding.  The
-             predecessor's key reuses this job's defs — def names are
-             length-independent, so the name set matches the one the
-             predecessor was cached under. *)
+             predecessor's key is derived from its predicted tables with
+             this plan's defs — def names are length-independent, so the
+             name set matches the one the predecessor was cached under. *)
           let prev () =
-            match prev_of lens with
-            | None -> None
-            | Some (plens, ptabs) -> (
-                (* The predecessor was usually just served here, so its
-                   baked job memo entry carries the very prelude key its
-                   prelude was cached under — reuse it and skip the Sig
-                   re-derivation.  A memo miss derives the key from the
-                   predicted tables instead. *)
-                let baked_prev =
-                  if srv.compile_cache then
-                    match Cache.find w.Workload.job_cache (jkey_prefix ^ render_lens plens) with
-                    | Some cj when auto = None || cj.Workload.c_epoch = ep ->
-                        Some (cj.Workload.c_pkey, cj.Workload.c_job.Workload.lenv)
-                    | _ -> None
-                  else None
-                in
-                match baked_prev with
-                | Some _ -> baked_prev
-                | None ->
-                    Some
-                      ( Prelude_cache.key_of ~tables_sig:(Sig.of_tables ptabs) (defs ()),
-                        Workload.lenv_of_tables ptabs ))
+            Option.map
+              (fun (_, ptabs) ->
+                ( Prelude_cache.key_of ~tables_sig:(Sig.of_tables ptabs) (defs ()),
+                  Workload.lenv_of_tables ptabs ))
+              (prev_of lens)
           in
           Prelude_cache.build_delta ~key:pkey ~prev defs j.Workload.lenv
       | None -> Prelude_cache.build_keyed ~key:pkey defs j.Workload.lenv
     else (Prelude.build ~dedup_defs:true (defs ()) j.Workload.lenv, false)
   in
-  let pkey = match baked with Some cj -> cj.Workload.c_pkey | None -> pkey_of plan job in
+  let pkey = match baked with Some cj -> cj.Workload.c_pkey | None -> pkey_of plan in
   let built, prelude_hit =
     staged "prelude" @@ fun () ->
     Obs.Span.with_span "serve.prelude" (fun () -> prelude_with ~pkey plan job)
@@ -401,16 +359,11 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
      rebuild inside the pipeline); its host/copy cost is charged only when
      this request actually built it.  The pipeline is a function of the
      job and prelude alone, so a memo hit reads the time baked into its
-     entry instead of re-enumerating every block, and a plan prices with
-     its precompiled launch model. *)
-  let kernels_of plan (j : Workload.job) built =
-    (match plan with
-    | Some (p : Workload.plan) ->
-        Machine.Launch.price ~engine:srv.engine ~opt:srv.opt ~prelude:built
-          ~lenv:j.Workload.lenv p.Workload.p_model
-    | None ->
-        Machine.Launch.pipeline ~engine:srv.engine ~opt:srv.opt ~prelude:built
-          ~device:Machine.Device.v100 ~lenv:j.Workload.lenv j.Workload.launches)
+     entry instead of re-enumerating every block; otherwise the plan
+     prices with its precompiled launch model. *)
+  let kernels_of (plan : Workload.plan) (j : Workload.job) built =
+    (Machine.Launch.price ~engine:srv.engine ~opt:srv.opt ~prelude:built ~lenv:j.Workload.lenv
+       plan.Workload.p_model)
       .Machine.Launch.kernels_ns
   in
   let kernels_ns =
@@ -433,9 +386,9 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
   let counters, out, xstats =
     staged "execute" @@ fun () ->
     if srv.execute then
-      let handles = Option.map (fun (p : Workload.plan) -> p.Workload.p_handles) plan in
       let c, o, s =
-        Obs.Span.with_span "serve.execute" (fun () -> execute ?lead ?handles srv job built)
+        Obs.Span.with_span "serve.execute" (fun () ->
+            execute ?lead ~handles:plan.Workload.p_handles srv job built)
       in
       (Some c, Some o, s)
     else
@@ -446,9 +399,10 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
   let checksum = match out with None -> 0.0 | Some a -> Array.fold_left ( +. ) 0.0 a in
   (* Warm the tuner memo *after* the staged pipeline — the response above
      was served from the hand schedule (stage names and order unchanged),
-     and the tune's candidates are built through the plan memo (one build
-     per point and structure), so the winner's plan and prelude are
-     already hot when the next same-signature request swaps it in. *)
+     and the tune's candidates are built the way this server builds its
+     plans (through the plan memo: one build per point and structure), so
+     the winner's plan and prelude are already hot when the next
+     same-signature request swaps it in. *)
   let tuner, tune_us =
     match pending with
     | None -> (state0, 0.0)
@@ -456,20 +410,17 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
         Autotune.Tuner.note_fallback ();
         let t0 = Obs.Trace_sink.now_us () in
         let candidates =
-          if srv.compile_cache then
-            List.map
-              (fun p ->
-                ( p,
-                  fun () ->
-                    let _, j, _ = Workload.plan w ~point:p ~opt:srv.opt lens in
-                    Workload.tuner_job j ))
-              (tn.Workload.space lens)
-          else Workload.candidates tn lens
+          List.map
+            (fun p ->
+              ( p,
+                fun () ->
+                  let _, j, _ = plan_of w ~point:p ~opt:srv.opt lens in
+                  Workload.tuner_job j ))
+            (tn.Workload.space lens)
         in
-        let d, _ =
-          Lower.with_memo ~cache:srv.compile_cache (fun () ->
-              Autotune.Tuner.tune ~cfg ~device:Machine.Device.v100 ~key ~tables_sig
-                ~hand:(Workload.tuner_job job) ~candidates ())
+        let d =
+          Autotune.Tuner.tune ~cfg ~device:Machine.Device.v100 ~key ~tables_sig
+            ~hand:(Workload.tuner_job job) ~candidates ()
         in
         (* bake the winner into the job memo so the next request with
            this signature serves it with a single lookup.  The winner's
@@ -480,8 +431,7 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
         | None -> insert_cached job plan "hand" tables_sig pkey kernels_ns
         | Some p when srv.compile_cache ->
             let tplan, tuned, _ = Workload.plan w ~point:p ~opt:srv.opt lens in
-            let tplan = Some tplan in
-            let tuned_pkey = pkey_of tplan tuned in
+            let tuned_pkey = pkey_of tplan in
             let tuned_built, _ = prelude_with ~pkey:tuned_pkey tplan tuned in
             insert_cached tuned tplan "tuned" tables_sig tuned_pkey
               (kernels_of tplan tuned tuned_built)

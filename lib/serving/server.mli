@@ -2,14 +2,19 @@
     per-vector job memo, else the plan of its structure, built once
     through the {!Cora.Lower} compile cache), build the prelude (through
     {!Cora.Prelude_cache}, keyed by the batch's raggedness signature),
-    time the pipeline on the machine model, and optionally execute it
-    through the reference interpreter.
+    price the pipeline with the plan's launch model, and optionally
+    execute it through the selected engine with the plan's handles.
 
-    Both caches can be bypassed per server — a bypassed server recompiles
-    and rebuilds everything per request, which is what the differential
-    tests compare against.  Latencies are model time (deterministic), not
-    wall time; each request runs under a [serve.request] span and lands in
-    the [serve.model_ns] histogram. *)
+    Every request is served from a plan.  Both caches can be bypassed per
+    server: with the compile cache off, each request is served from a
+    {!Workload.fresh_plan} (built for it alone, lowered with the compile
+    memo off, never memoized) and no job is memoized; with the prelude
+    cache off, each request builds its prelude from scratch.  An untuned
+    server with both off touches no cache, which is what the
+    differential tests and {!Stream.reference} compare against.
+    Latencies are model time (deterministic), not wall time; each
+    request runs under a [serve.request] span and lands in the
+    [serve.model_ns] histogram. *)
 
 (** Interpreter statistics of one request, for differential comparison. *)
 type counters = (string * int) list
@@ -25,8 +30,9 @@ type response = {
   engine_hits : int;
       (** kernels this request ran through already-compiled plan handles *)
   engine_misses : int;
-      (** kernels compiled for this request (cold plan handles, or every
-          kernel of a compiled request served without a plan) *)
+      (** kernels compiled for this request: the cold handles of its plan
+          (every kernel of a {!Workload.fresh_plan}); 0 on the
+          interpreter *)
   arena_hits : int;  (** arena acquisitions recycled / freshly allocated *)
   arena_misses : int;
   tables_hex : string;  (** hex raggedness signature of the batch ({!Cora.Sig.to_hex}) *)
@@ -76,8 +82,9 @@ type t
     launch-model compilation and engine compilation per structure — and
     each workload's job memo ({!Workload.cached_job}) carries the job's
     modeled kernel time, so a repeat request skips the launch model as
-    well.  Without it every request builds, prices and compiles from
-    scratch. *)
+    well.  Without it every request is served from a fresh plan: built,
+    priced and (on the compiled engine) compiled for that request
+    alone. *)
 val create :
   ?compile_cache:bool -> ?prelude_cache:bool -> ?execute:bool ->
   ?engine:Cora.Exec.engine -> ?opt:Ir.Optimize.level ->

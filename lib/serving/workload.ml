@@ -135,28 +135,35 @@ let instantiate (w : t) (p : plan) lens =
   let tables = w.tables_of lens in
   { p.p_job with tables; lenv = lenv_of_tables tables }
 
+(* The per-structure build: [build] (or [build_tuned point]) lowered
+   under the caller's compile-memo scope, then the launch model and the
+   engine handles of its kernels. *)
+let build_plan (w : t) ?point ~opt lens =
+  let job =
+    match (point, w.tunable) with
+    | None, _ -> w.build lens
+    | Some pt, Some tn -> tn.build_tuned pt lens
+    | Some _, None -> invalid_arg ("Workload.plan: " ^ w.name ^ " is not tunable")
+  in
+  {
+    p_job = job;
+    p_defs = List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) job.kernels;
+    p_model = Machine.Launch.compile ~device:Machine.Device.v100 job.launches;
+    p_handles = Exec.handles ~opt job.kernels;
+  }
+
+let fresh_plan (w : t) ?point ~opt lens =
+  let p, memo = Lower.with_memo ~cache:false (fun () -> build_plan w ?point ~opt lens) in
+  (p, p.p_job, Some memo)
+
 let plan (w : t) ?point ~opt lens =
   let key = plan_key w ~point ~opt lens in
   match Cache.find plans key with
   | Some p -> (p, instantiate w p lens, None)
   | None ->
-      let job, memo =
-        Lower.with_memo ~cache:true (fun () ->
-            match (point, w.tunable) with
-            | None, _ -> w.build lens
-            | Some pt, Some tn -> tn.build_tuned pt lens
-            | Some _, None -> invalid_arg ("Workload.plan: " ^ w.name ^ " is not tunable"))
-      in
-      let p =
-        {
-          p_job = job;
-          p_defs = List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) job.kernels;
-          p_model = Machine.Launch.compile ~device:Machine.Device.v100 job.launches;
-          p_handles = Exec.handles ~opt job.kernels;
-        }
-      in
+      let p, memo = Lower.with_memo ~cache:true (fun () -> build_plan w ?point ~opt lens) in
       Cache.add plans key p;
-      (p, job, Some memo)
+      (p, p.p_job, Some memo)
 
 (* ---- batching descriptor helpers ----
 

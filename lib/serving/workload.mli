@@ -152,12 +152,11 @@ type t = {
           raggedness vector and the tables (same names, same order as
           [job.tables]) of the step whose prelude the current step's can
           be delta-updated from, or [None] when this step has no
-          predecessor (e.g. right after prefill).  The vector lets the
-          server look the predecessor up in [job_cache] and reuse its
-          baked prelude key; the tables derive the key on a memo miss.
-          Correctness never depends on the prediction — a predecessor
-          absent from the prelude cache just falls back to a full
-          build. *)
+          predecessor (e.g. right after prefill).  The server derives
+          the predecessor's prelude key from the tables; the vector
+          names the predecessor's [job_cache] entry.  Correctness never
+          depends on the prediction — a predecessor absent from the
+          prelude cache just falls back to a full build. *)
   job_cache : (string, cached_job) Cora.Cache.t;
       (** per-instance memo of built jobs with their tuner decision baked
           in, keyed by (serving mode, raggedness vector) — mode-prefixed
@@ -172,8 +171,8 @@ type t = {
           closes over this value's configuration: two workloads with the
           same name but different configurations can never collide.
           Consulted by {!Server.handle} only when its compile cache is
-          enabled, so a cache-bypassed differential replay rebuilds from
-          scratch. *)
+          enabled, so a cache-bypassed differential replay serves every
+          request from a {!fresh_plan}. *)
 }
 
 (** [lead_index bd ls name b] — [bd.local_index ls name] applied to the
@@ -213,6 +212,16 @@ val candidates :
     process-wide bounded memo (the [plan] cache), keyed by workload name,
     instance {!t.id}, point, [opt] and [structure lens]. *)
 val plan :
+  t -> ?point:Autotune.Space.point -> opt:Ir.Optimize.level -> int array ->
+  plan * job * Cora.Lower.memo_stats option
+
+(** [fresh_plan w ?point ~opt lens] — what a {!plan} miss builds, but
+    neither read from nor inserted into the plan memo, and lowered under
+    [Lower.with_memo ~cache:false]: it touches no cache.  The job is the
+    plan's own (built for [lens]); the tally is always [Some] and counts
+    no lowering hit or miss.  A server with its compile cache off serves
+    every request from one. *)
+val fresh_plan :
   t -> ?point:Autotune.Space.point -> opt:Ir.Optimize.level -> int array ->
   plan * job * Cora.Lower.memo_stats option
 

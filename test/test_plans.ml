@@ -97,6 +97,18 @@ let check_response ?(model = true) what (a : Serving.Server.response)
   if a.Serving.Server.tuner <> b.Serving.Server.tuner then
     Alcotest.failf "%s: tuner state %s vs %s" what a.Serving.Server.tuner b.Serving.Server.tuner
 
+(* The bypass serves every request from a fresh plan: no lowering memo
+   probe (0 hits, 0 misses) and every kernel compiled for it; the caching
+   server runs the same kernels, through warm or cold plan handles. *)
+let check_tallies what (a : Serving.Server.response) (bypass : Serving.Server.response) =
+  let eq name x y = if x <> y then Alcotest.failf "%s: %s %d vs %d" what name x y in
+  eq "bypass compile hits" bypass.Serving.Server.compile_hits 0;
+  eq "bypass compile misses" bypass.Serving.Server.compile_misses 0;
+  eq "bypass engine hits" bypass.Serving.Server.engine_hits 0;
+  eq "kernels through the engine"
+    (a.Serving.Server.engine_hits + a.Serving.Server.engine_misses)
+    bypass.Serving.Server.engine_misses
+
 (* Every vector through a caching server and a cache-bypassing one, hand
    and autotuned, from the same empty caches: an autotuned vector goes
    miss -> tuned in both, the caching server tuning through plans.  The
@@ -132,11 +144,13 @@ let check_served ~cold_prelude (w : Serving.Workload.t) vectors =
           List.iteri
             (fun i r ->
               let e = List.nth es (min i (passes - 1)) in
-              check_response ~model:cold_prelude
-                (Printf.sprintf "%s%s [%s] pass %d" w.Serving.Workload.name
-                   (if autotune = None then "" else " (autotuned)")
-                   (render lens) (i + 1))
-                r e)
+              let what =
+                Printf.sprintf "%s%s [%s] pass %d" w.Serving.Workload.name
+                  (if autotune = None then "" else " (autotuned)")
+                  (render lens) (i + 1)
+              in
+              check_response ~model:cold_prelude what r e;
+              check_tallies what r e)
             rs)
         vectors (List.combine got expect))
     modes

@@ -461,6 +461,32 @@ let test_reference_is_bypass () =
         items)
     (golden_workloads ())
 
+(* The reference shares no cache with the run it checks: after a reset,
+   serving one vector of each workload on it leaves every serving cache
+   empty — no plan, lowering, prelude, tuner decision or job memoized. *)
+let test_reference_leaves_caches_empty () =
+  Serving.Server.reset_caches ();
+  let ws = golden_workloads () in
+  let srv = bypass_interp () in
+  List.iter
+    (fun (w : Serving.Workload.t) ->
+      ignore (Serving.Server.handle srv w (w.Serving.Workload.sample (Workloads.Rng.create 19))))
+    ws;
+  let empty what n = Alcotest.(check int) (what ^ " entries") 0 n in
+  empty "plan memo" (Serving.Workload.plan_stats ()).Cora.Cache.entries;
+  empty "compile memo" (Cora.Lower.memo_size ());
+  empty "prelude cache" (Cora.Prelude_cache.size ());
+  empty "tuner memo" (Autotune.Tuner.memo_size ());
+  List.iter
+    (fun (w : Serving.Workload.t) ->
+      empty ("job memo of " ^ w.Serving.Workload.name)
+        (Cora.Cache.size w.Serving.Workload.job_cache))
+    ws;
+  List.iter
+    (fun (name, (st : Cora.Cache.stats)) ->
+      if String.starts_with ~prefix:"job_build." name then empty name st.Cora.Cache.entries)
+    (Cora.Cache.registered_stats ())
+
 let test_reference_serves_once () =
   let w = List.hd (workloads ()) in
   let builds = ref 0 in
@@ -580,6 +606,8 @@ let () =
           Alcotest.test_case "stream digest" `Quick test_digest;
           Alcotest.test_case "O0 and O3 servers share a job memo" `Quick
             test_levels_share_job_memo;
+          Alcotest.test_case "reference leaves every cache empty" `Quick
+            test_reference_leaves_caches_empty;
         ] );
       ( "deadlines",
         [

@@ -356,6 +356,15 @@ let test_openmetrics_validator_rejects () =
      cora_h_bucket{le=\"+Inf\"} 2\n\
      cora_h_sum 2\n\
      cora_h_count 3\n\
+     # EOF\n";
+  (* two registry names that sanitize alike (a gauge [cache.plan_entries]
+     next to [set_cache_gauges ~name:"plan"]'s [cache.plan.entries])
+     render one family twice *)
+  bad "repeated family"
+    "# TYPE cora_cache_plan_entries gauge\n\
+     cora_cache_plan_entries 3\n\
+     # TYPE cora_cache_plan_entries gauge\n\
+     cora_cache_plan_entries 3\n\
      # EOF\n"
 
 let () =
