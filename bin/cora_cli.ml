@@ -273,12 +273,13 @@ let run_traced_workload ~device ~multicore ~domains workload =
       Fmt.failwith "unknown workload %s (available: %s)" other
         (String.concat " " trace_workloads)
 
-(* Validate the written trace by re-parsing it: the ci wrapper (bin/ci.sh)
-   relies on a nonzero exit here when the file is not well-formed. *)
-let validate_trace path =
+(* Validate a written Chrome trace by re-parsing it: a non-empty
+   traceEvents array naming every span in [required].  Returns the event
+   count.  The ci wrapper (bin/ci.sh) relies on a nonzero exit here when
+   the file is not well-formed. *)
+let validate_trace ~required path =
   let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
+  let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
   match Obs.Json.parse src with
   | Error e -> Fmt.failwith "%s: emitted trace does not parse: %s" path e
@@ -287,19 +288,12 @@ let validate_trace path =
       | None -> Fmt.failwith "%s: no traceEvents array" path
       | Some [] -> Fmt.failwith "%s: traceEvents is empty" path
       | Some evs ->
-          let names =
-            List.filter_map
-              (fun e ->
-                match Obs.Json.member "name" e with
-                | Some (Obs.Json.String s) -> Some s
-                | _ -> None)
-              evs
-          in
+          let named span e = Obs.Json.member "name" e = Some (Obs.Json.String span) in
           List.iter
-            (fun required ->
-              if not (List.mem required names) then
-                Fmt.failwith "%s: missing expected span %S" path required)
-            [ "trace"; "lower"; "prelude.build"; "exec.run"; "launch.pipeline" ];
+            (fun span ->
+              if not (List.exists (named span) evs) then
+                Fmt.failwith "%s: missing expected span %S" path span)
+            required;
           List.length evs)
 
 let trace_cmd =
@@ -353,7 +347,10 @@ let trace_cmd =
       (fun () -> run_traced_workload ~device:dev ~multicore ~domains workload);
     Obs.Span.set_enabled false;
     Obs.Report.write_file out (Obs.Trace_sink.to_chrome_string ());
-    let n_events = validate_trace out in
+    let n_events =
+      validate_trace out
+        ~required:[ "trace"; "lower"; "prelude.build"; "exec.run"; "launch.pipeline" ]
+    in
     (* the sink is a bounded ring: say how many spans fell off the back *)
     Printf.eprintf "wrote %s (%d spans, %d dropped, validated)\n%!" out n_events
       (Obs.Trace_sink.dropped ());
@@ -479,15 +476,20 @@ let bench_stream_cmd =
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "Self-validate: nonzero hit rates, zero prelude host time on hits, monotone \
-             non-increasing per-window p50 after warmup; every request served (no \
-             rejection, deadline or error); with --exec, that every served output is \
-             bit-identical to the reference, a cache-bypassed, untuned, serial \
-             interpreter server run once per distinct vector; with --batching, that \
-             mega-batches actually amortize (> 1 request each) and that the tile packing \
-             never pads more than one-request-one-batch serving; with --autotune \
-             --exec, that a tune ran and left the memo non-empty.  Exits nonzero on \
-             violation.")
+            "Self-validate the run and exit nonzero on violation.  Always: non-empty plan \
+             and compile memos, every request served (none rejected, past its deadline or \
+             errored), zero prelude host time on hits.  Unbatched: a nonzero compile hit \
+             rate and, except for decode, a nonzero prelude hit rate and (serially) a \
+             non-increasing per-window overhead p50.  With --exec: every served output \
+             bit-identical to the reference (a cache-bypassed, untuned, serial \
+             interpreter server run once per distinct vector), a nonzero scalar-op rate \
+             and (serial, unbatched, not decode) no arena miss after the first window.  \
+             With --batching: batches form, hold > 1 request each, evict none, and the \
+             tile packing pads no more than one-request-one-batch serving.  With \
+             --autotune --exec: a tune ran and left the memo non-empty.  Decode: tables \
+             were delta-updated and the steady-state delta prelude costs at most half a \
+             rebuild's; unbatched, that cost is nonzero and the stream builds 1 to \
+             --domains plans (every step has one structure).")
   in
   let domains_arg =
     Arg.(
@@ -739,17 +741,8 @@ let bench_stream_cmd =
     Obs.Span.set_enabled false;
     (match trace_out with
     | Some path ->
-        let s = Obs.Trace_sink.to_chrome_string () in
-        Obs.Report.write_file path s;
-        (* self-validate by re-parsing, like `cora trace` *)
-        let n_events =
-          match Obs.Json.parse s with
-          | Error e -> Fmt.failwith "%s: invalid trace JSON: %s" path e
-          | Ok j -> (
-              match Option.bind (Obs.Json.member "traceEvents" j) Obs.Json.to_list with
-              | Some evs -> List.length evs
-              | None -> Fmt.failwith "%s: no traceEvents array" path)
-        in
+        Obs.Report.write_file path (Obs.Trace_sink.to_chrome_string ());
+        let n_events = validate_trace path ~required:[] in
         Printf.eprintf "wrote %s (%d trace events, %d requests, %d spans dropped)\n%!" path
           n_events
           (List.length (Obs.Trace_sink.request_ids ()))
@@ -898,25 +891,22 @@ let bench_stream_cmd =
     in
     let tuned_requests = count_tuner "tuned" in
     let tuner_totals = Autotune.Tuner.totals () in
-    (* Steady-state goodput pair: the hot-path regression budget.  The
-       main replay above warmed every memo (tuner decisions, baked jobs,
-       preludes, launch models), so one more tuned replay against a hand
-       replay of the same stream times pure steady-state serving with no
-       warm-up tunes in either wall.  Both passes run back to back in
-       this process — cross-process wall clocks in shared containers
-       drift by 2x between identical runs, so a regression budget
-       computed from two separate invocations is noise, not signal.  The
-       hand server gets its own full warming pass first (its job-memo
-       keys are mode-prefixed, disjoint from the tuned server's).  Each
-       window starts from a finished major collection: otherwise the
-       collector's debt and heap size at the window boundary, which shift
-       with unrelated allocations anywhere in the process, decide which
-       of the two windows pays for the pending major work.  The two
-       servers alternate over [steady_windows] windows each and the
-       medians are reported, so neither side always runs first or after
-       the other's garbage. *)
+    let plan_entries = (Serving.Workload.plan_stats ()).Cora.Cache.entries in
+    (* Steady-state goodput pair, the hot-path regression budget, on the
+       model-only path only (under --exec it would replay the whole stream
+       twelve more times on the engine).  The main replay warmed every
+       memo (tuner decisions, baked jobs, preludes, launch models), so a
+       tuned replay against a hand replay of the same stream times pure
+       steady-state serving.  Both run in this process: cross-process wall
+       clocks in shared containers drift by 2x between identical runs.
+       The hand server gets its own warming pass first (its job-memo keys
+       are mode-prefixed).  Each window starts from a finished major
+       collection, so the collector's debt at the boundary does not decide
+       which window pays for pending major work; the servers alternate
+       over [steady_windows] windows each and report medians, so neither
+       side always runs first or after the other's garbage. *)
     let steady_hand_rps, steady_tuned_rps =
-      if (not autotune) || concurrent || batching_active then (0.0, 0.0)
+      if (not autotune) || exec || concurrent || batching_active then (0.0, 0.0)
       else begin
         let srv_h = Serving.Server.create ~execute:exec ~engine ~opt () in
         ignore (Serving.Stream.replay srv_h w stream);
@@ -979,7 +969,7 @@ let bench_stream_cmd =
           ("prelude_host_ns_on_hits", Obs.Json.Float host_ns_on_hits);
           ("compile_cache_entries", Obs.Json.Int (Cora.Lower.memo_size ()));
           ("prelude_cache_entries", Obs.Json.Int (Cora.Prelude_cache.size ()));
-          ("plan_entries", Obs.Json.Int (Serving.Workload.plan_stats ()).Cora.Cache.entries);
+          ("plan_entries", Obs.Json.Int plan_entries);
           ("plan_misses", Obs.Json.Int plan_misses);
           ("autotune", Obs.Json.Bool autotune);
           ("tuned_requests", Obs.Json.Int tuned_requests);
@@ -1134,10 +1124,17 @@ let bench_stream_cmd =
       (p 50.0 /. 1e3) (p 95.0 /. 1e3) (p 99.0 /. 1e3) compile_hit_rate prelude_hit_rate
       goodput_rps;
     if smoke then begin
-      if n_rejected > 0 then Fmt.failwith "smoke: %d requests rejected" n_rejected;
-      if n_errors > 0 then Fmt.failwith "smoke: %d requests errored" n_errors;
-      if n_deadline > 0 then
-        Fmt.failwith "smoke: %d requests exceeded their deadline" n_deadline;
+      (* every request goes through Workload.plan *)
+      if plan_entries = 0 then Fmt.failwith "smoke: plan memo is empty";
+      (* every decode step has one row count, hence one structure *)
+      if is_decode && (not batching_active) && (plan_misses < 1 || plan_misses > domains) then
+        Fmt.failwith "smoke: decode stream built %d plans, expected 1..%d (one structure)"
+          plan_misses domains;
+      if n_ok <> requests then
+        Fmt.failwith "smoke: %d of %d requests served (%d rejected, %d past deadline, %d errored)"
+          n_ok requests n_rejected n_deadline n_errors;
+      if exec && scalar_ops_per_sec <= 0.0 then
+        Fmt.failwith "smoke: scalar_ops_per_sec is %g, expected > 0" scalar_ops_per_sec;
       (* hit-rate floors assume the solo request signatures repeat;
          mega-batch signatures depend on window composition, so under
          --batching only the structural checks apply *)
@@ -1159,11 +1156,9 @@ let bench_stream_cmd =
             check_monotone (i + 1) rest
         | _ -> ()
       in
-      (* mega-batch signatures vary with window composition, so both
-         steady-state checks assume the unbatched request stream *)
-      (* decode grows every shape monotonically (prelude entries and
-         tensor sizes rise by construction), so the flat-steady-state
-         windows below do not apply — its budget is the delta assertion *)
+      (* both steady-state checks assume a flat unbatched stream: mega-batch
+         signatures vary with window composition, and decode grows every
+         shape (its budget is the delta assertion below) *)
       if (not concurrent) && (not batching_active) && not is_decode then
         check_monotone 0 window_overhead_p50;
       (* zero-allocation steady state: once the first window has populated
@@ -1181,6 +1176,7 @@ let bench_stream_cmd =
          serving every request as its own dense batch would *)
       if batching_active then begin
         if n_batches = 0 then Fmt.failwith "smoke: batching enabled but no batches formed";
+        if n_evicted > 0 then Fmt.failwith "smoke: %d batch members evicted" n_evicted;
         if requests > 1 && max_batch > 1 && mean_batch_size <= 1.0 then
           Fmt.failwith "smoke: mean batch size %.2f, expected > 1" mean_batch_size;
         if padding_waste_frac > unbatched_padding_waste_frac +. 1e-9 then
@@ -1214,6 +1210,8 @@ let bench_stream_cmd =
         (fun (d_updated, delta_model, rebuild_model) ->
           if d_updated = 0 then
             Fmt.failwith "smoke: decode stream never delta-updated a prelude table";
+          if (not batching_active) && delta_model <= 0.0 then
+            Fmt.failwith "smoke: steady-state delta prelude costs 0 ns";
           if rebuild_model > 0.0 && delta_model > 0.5 *. rebuild_model then
             Fmt.failwith
               "smoke: steady-state delta prelude %.0f ns exceeds half the rebuild's %.0f ns"

@@ -8,7 +8,7 @@ let size () = Cache.size cache
 let set_capacity n = Cache.set_capacity cache n
 let capacity () = Cache.capacity cache
 
-let key ~(tables_sig : Sig.t) ~dedup_defs (defs : Prelude.def list) : Sig.t =
+let key_of ~(tables_sig : Sig.t) (defs : Prelude.def list) : Sig.t =
   let names =
     List.map
       (fun (d : Prelude.def) ->
@@ -17,21 +17,13 @@ let key ~(tables_sig : Sig.t) ~dedup_defs (defs : Prelude.def list) : Sig.t =
       defs
     |> List.sort_uniq String.compare
   in
-  Sig.combine
-    [
-      Sig.of_string (if dedup_defs then "dedup" else "redundant");
-      Sig.of_string (String.concat "," names);
-      tables_sig;
-    ]
+  Sig.combine [ Sig.of_string (String.concat "," names); tables_sig ]
 
 let hit_c = Obs.Metrics.counter "prelude_cache.hit"
 let miss_c = Obs.Metrics.counter "prelude_cache.miss"
 
-let key_of ~(tables_sig : Sig.t) ?(dedup_defs = true) (defs : Prelude.def list) : Sig.t =
-  key ~tables_sig ~dedup_defs defs
-
-let build_keyed ~(key : Sig.t) ?(dedup_defs = true) (defs : unit -> Prelude.def list)
-    (lenv : Lenfun.env) : Prelude.built * bool =
+let build_keyed ~(key : Sig.t) (defs : unit -> Prelude.def list) (lenv : Lenfun.env) :
+    Prelude.built * bool =
   match Cache.find cache key with
   | Some b ->
       Obs.Metrics.incr hit_c;
@@ -40,19 +32,18 @@ let build_keyed ~(key : Sig.t) ?(dedup_defs = true) (defs : unit -> Prelude.def 
       Obs.Metrics.incr miss_c;
       (* built outside the cache lock: a slow build must not serialise
          concurrent requests hitting other keys *)
-      let b = Prelude.build ~dedup_defs (defs ()) lenv in
+      let b = Prelude.build (defs ()) lenv in
       Cache.add cache key b;
       (b, false)
 
-let build_cached ~(tables_sig : Sig.t) ?(dedup_defs = true) (defs : Prelude.def list)
-    (lenv : Lenfun.env) : Prelude.built * bool =
-  build_keyed ~key:(key ~tables_sig ~dedup_defs defs) ~dedup_defs (fun () -> defs) lenv
+let build_cached ~(tables_sig : Sig.t) (defs : Prelude.def list) (lenv : Lenfun.env) :
+    Prelude.built * bool =
+  build_keyed ~key:(key_of ~tables_sig defs) (fun () -> defs) lenv
 
 let delta_c = Obs.Metrics.counter "prelude_cache.delta"
 
-let build_delta ~(key : Sig.t) ?(dedup_defs = true)
-    ~(prev : unit -> (Sig.t * Lenfun.env) option) (defs : unit -> Prelude.def list)
-    (lenv : Lenfun.env) : Prelude.built * bool =
+let build_delta ~(key : Sig.t) ~(prev : unit -> (Sig.t * Lenfun.env) option)
+    (defs : unit -> Prelude.def list) (lenv : Lenfun.env) : Prelude.built * bool =
   match Cache.find cache key with
   | Some b ->
       Obs.Metrics.incr hit_c;
@@ -71,9 +62,9 @@ let build_delta ~(key : Sig.t) ?(dedup_defs = true)
                    keeps the cache consistent; [pb] is shared with other
                    requests and never mutated — unchanged arrays are
                    shared into the new built record *)
-                Prelude.delta_update ~dedup_defs ~prev:pb ~old_lenv (defs ()) lenv
-            | None -> Prelude.build ~dedup_defs (defs ()) lenv)
-        | None -> Prelude.build ~dedup_defs (defs ()) lenv
+                Prelude.delta_update ~prev:pb ~old_lenv (defs ()) lenv
+            | None -> Prelude.build (defs ()) lenv)
+        | None -> Prelude.build (defs ()) lenv
       in
       Cache.add cache key b;
       (b, false)

@@ -15,7 +15,8 @@
     reuse. *)
 
 (** [build_cached ~tables_sig defs lenv] — like {!Prelude.build}, but
-    consults the cache first.  [tables_sig] must be {!Sig.of_tables} over
+    consults the cache first (defs deduplicated, {!Prelude.build}'s
+    default).  [tables_sig] must be {!Sig.of_tables} over
     the concrete tables backing {e every} length function the defs read
     (the serving layer constructs [lenv] from exactly those tables, so the
     signature determines the build).  Returns the built structures and
@@ -23,14 +24,13 @@
     host work for the request is zero.  Counters: [prelude_cache.hit] /
     [prelude_cache.miss]. *)
 val build_cached :
-  tables_sig:Sig.t -> ?dedup_defs:bool -> Prelude.def list -> Lenfun.env ->
-  Prelude.built * bool
+  tables_sig:Sig.t -> Prelude.def list -> Lenfun.env -> Prelude.built * bool
 
 (** The cache key {!build_cached} derives: canonical def-name set plus
     [tables_sig].  Deriving it walks the def list; a caller serving
     repeat shapes can compute it once and replay lookups through
     {!build_keyed}. *)
-val key_of : tables_sig:Sig.t -> ?dedup_defs:bool -> Prelude.def list -> Sig.t
+val key_of : tables_sig:Sig.t -> Prelude.def list -> Sig.t
 
 (** [build_keyed ~key defs lenv] — {!build_cached} with the key already
     derived ({!key_of}); [defs] is forced only on a miss, so a hit does
@@ -38,8 +38,7 @@ val key_of : tables_sig:Sig.t -> ?dedup_defs:bool -> Prelude.def list -> Sig.t
     still governs: an evicted entry rebuilds (and reports a miss) like
     any other. *)
 val build_keyed :
-  key:Sig.t -> ?dedup_defs:bool -> (unit -> Prelude.def list) -> Lenfun.env ->
-  Prelude.built * bool
+  key:Sig.t -> (unit -> Prelude.def list) -> Lenfun.env -> Prelude.built * bool
 
 (** [build_delta ~key ~prev defs lenv] — {!build_keyed} with incremental
     prelude maintenance on a miss (the decode fast path): [prev] is forced
@@ -53,7 +52,7 @@ val build_keyed :
     delta result is bitwise-identical to a fresh build.  Counter:
     [prelude_cache.delta] per delta-built miss. *)
 val build_delta :
-  key:Sig.t -> ?dedup_defs:bool -> prev:(unit -> (Sig.t * Lenfun.env) option) ->
+  key:Sig.t -> prev:(unit -> (Sig.t * Lenfun.env) option) ->
   (unit -> Prelude.def list) -> Lenfun.env -> Prelude.built * bool
 
 (** Explicit invalidation: drop every cached build (for when length

@@ -81,8 +81,6 @@ let set_capacity n =
       head := List.length kept mod n;
       total := List.length kept)
 
-let capacity () = !cap
-
 (* ---------------- JSON ---------------- *)
 
 let record_json (r : record) =

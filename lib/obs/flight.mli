@@ -39,8 +39,6 @@ val clear : unit -> unit
     survivors. *)
 val set_capacity : int -> unit
 
-val capacity : unit -> int
-
 (** The ring as one JSON document: [{reason, dumped_at_us, records}]. *)
 val to_json : ?reason:string -> unit -> Json.t
 

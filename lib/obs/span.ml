@@ -12,7 +12,6 @@
 
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
 
 type open_span = {
   name : string;

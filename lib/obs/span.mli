@@ -6,8 +6,6 @@
 (** Turn span recording on/off process-wide (default off). *)
 val set_enabled : bool -> unit
 
-val enabled : unit -> bool
-
 (** [with_span ?attrs name f] runs [f], timing it as a span nested
     under the calling domain's innermost open span.  The span is closed
     (and recorded) even if [f] raises, tagged with an [error]

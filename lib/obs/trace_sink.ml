@@ -98,8 +98,6 @@ let set_capacity n =
   total := List.length kept;
   Mutex.unlock lock
 
-let capacity () = !cap
-
 (** Surviving spans in start-time order.  Clock ties (sub-microsecond
     siblings) fall back to record order, which for same-domain siblings is
     close order = start order. *)

@@ -24,8 +24,6 @@ val clear : unit -> unit
     keeping the newest survivors. *)
 val set_capacity : int -> unit
 
-val capacity : unit -> int
-
 (** Events recorded since {!clear} that no longer fit in the ring (the
     same count the [trace.dropped] metric accumulates). *)
 val dropped : unit -> int
@@ -46,8 +44,6 @@ val request_ids : unit -> int list
     trace epoch, attributes under ["args"] (request ids as
     ["args"]["req"]), plus one flow ([ph:s/t/f]) chain per request
     stitching its spans across domain tracks. *)
-val to_chrome : unit -> Json.t
-
 val to_chrome_string : unit -> string
 
 (** Indented per-domain tree of span names, durations and attributes. *)

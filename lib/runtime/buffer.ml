@@ -1,36 +1,15 @@
-(** Flat runtime buffers.
+(** Flat runtime buffers: kernels operate on flat float storage (the
+    prelude's int tables are bound as uninterpreted functions instead). *)
 
-    Kernels operate on flat float storage; auxiliary structures built by the
-    prelude (offset arrays, fused-loop maps) are flat int storage. *)
-
-type t = F of float array | I of int array
+type t = F of float array
 
 let float_buf n = F (Array.make n 0.0)
-let int_buf n = I (Array.make n 0)
 let of_floats a = F a
-
-let length = function F a -> Array.length a | I a -> Array.length a
-
-let floats = function
-  | F a -> a
-  | I _ -> invalid_arg "Buffer.floats: integer buffer"
-
-let ints = function
-  | I a -> a
-  | F _ -> invalid_arg "Buffer.ints: float buffer"
-
-let get_float b i =
-  match b with F a -> a.(i) | I a -> float_of_int a.(i)
-
-let set_float b i v =
-  match b with F a -> a.(i) <- v | I a -> a.(i) <- int_of_float v
-
-(** Size in bytes, assuming 4-byte elements (the paper evaluates in fp32 and
-    reports aux-structure sizes in kB assuming 4-byte ints). *)
-let bytes b = 4 * length b
-
-let fill_float b v =
-  match b with F a -> Array.fill a 0 (Array.length a) v | I _ -> invalid_arg "fill_float"
+let length (F a) = Array.length a
+let floats (F a) = a
+let get_float (F a) i = a.(i)
+let set_float (F a) i v = a.(i) <- v
+let fill_float (F a) v = Array.fill a 0 (Array.length a) v
 
 (** Buffer arena: recycles float arrays across requests so a steady-state
     serving loop allocates no fresh float storage.  Free lists are keyed by

@@ -1,23 +1,14 @@
-(** Flat runtime buffers: float storage for tensors, int storage for the
-    prelude's auxiliary structures. *)
+(** Flat runtime buffers: float storage for tensors.  The prelude's int
+    tables are bound as uninterpreted functions, not buffers. *)
 
-type t = F of float array | I of int array
+type t = F of float array
 
 val float_buf : int -> t
-val int_buf : int -> t
 val of_floats : float array -> t
 val length : t -> int
-
-(** Raises on the wrong variant. *)
 val floats : t -> float array
-
-val ints : t -> int array
 val get_float : t -> int -> float
 val set_float : t -> int -> float -> unit
-
-(** Size in bytes (4-byte elements, matching the paper's fp32/int32). *)
-val bytes : t -> int
-
 val fill_float : t -> float -> unit
 
 (** Recycling pool of float arrays, keyed by length — the zero-allocation

@@ -136,7 +136,6 @@ type ufun_binding =
   | U_table of int array  (* prelude table: direct indexing *)
   | U_fn of (int -> int)  (* length function *)
   | U_const of int  (* prelude scalar: any arity, like (fun _ -> n) *)
-  | U_gen of (int list -> int)
 
 type layout = {
   n_ints : int;
@@ -488,7 +487,6 @@ and compile_ufun ctx name args : cexpr =
               else Array.unsafe_get t i
           | U_fn f -> f i
           | U_const n -> n
-          | U_gen f -> f [ i ]
           | U_unbound -> err "unbound uninterpreted function %s" name)
   | [] ->
       CInt
@@ -497,7 +495,6 @@ and compile_ufun ctx name args : cexpr =
           fr.indirect <- fr.indirect + 1;
           match Array.unsafe_get fr.ufuns slot with
           | U_const n -> n
-          | U_gen f -> f []
           | U_table _ | U_fn _ -> err "ufun %s: arity mismatch (0 args)" name
           | U_unbound -> err "unbound uninterpreted function %s" name)
   | args ->
@@ -507,9 +504,9 @@ and compile_ufun ctx name args : cexpr =
         (fun fr ->
           fr.loads <- fr.loads + 1;
           fr.indirect <- fr.indirect + 1;
-          let l = List.map (fun f -> f fr) fis in
+          (* arguments still count their loads, like the interpreter's *)
+          List.iter (fun f -> ignore (f fr)) fis;
           match Array.unsafe_get fr.ufuns slot with
-          | U_gen f -> f l
           | U_const n -> n
           | U_table _ | U_fn _ -> err "ufun %s: arity mismatch (%d args)" name nargs
           | U_unbound -> err "unbound uninterpreted function %s" name)
@@ -1668,11 +1665,9 @@ let bind_buf fr (v : Var.t) (b : Buffer.t) =
   match slot with
   | None -> () (* this kernel never touches that tensor *)
   | Some slot -> (
-      match b with
-      | Buffer.F a ->
-          fr.fbufs.(slot) <- a;
-          fr.buf_bound.(slot) <- true
-      | Buffer.I _ -> err "engine: integer buffer %s unsupported" (Var.mangled v))
+      let (Buffer.F a) = b in
+      fr.fbufs.(slot) <- a;
+      fr.buf_bound.(slot) <- true)
 
 let bind_ufun_binding fr name u =
   match Hashtbl.find_opt fr.layout.ufun_slots name with
@@ -1682,7 +1677,6 @@ let bind_ufun_binding fr name u =
 let bind_ufun_table fr name a = bind_ufun_binding fr name (U_table a)
 let bind_ufun1 fr name f = bind_ufun_binding fr name (U_fn f)
 let bind_ufun_const fr name n = bind_ufun_binding fr name (U_const n)
-let bind_ufun fr name f = bind_ufun_binding fr name (U_gen f)
 
 let run ?pool (fr : frame) : unit =
   let l = fr.layout in

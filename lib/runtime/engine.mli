@@ -112,8 +112,7 @@ val compile : ?opt:Ir.Optimize.level -> Ir.Stmt.t -> compiled
 val frame : compiled -> frame
 
 (** Bind a buffer.  Names the compiled kernel never references are
-    silently ignored (preludes are shared across kernels).  Raises
-    {!Error} on an integer buffer. *)
+    silently ignored (preludes are shared across kernels). *)
 val bind_buf : frame -> Ir.Var.t -> Buffer.t -> unit
 
 (** Bind a 1-argument ufun backed by an int array — the fast path: a table
@@ -126,9 +125,6 @@ val bind_ufun1 : frame -> string -> (int -> int) -> unit
 (** Bind a constant ufun — prelude [Scalar] values; accepts any arity at
     the call site, like the interpreter's [fun _ -> n] binding. *)
 val bind_ufun_const : frame -> string -> int -> unit
-
-(** Bind a general n-ary ufun (the slow path; kept for parity). *)
-val bind_ufun : frame -> string -> (int list -> int) -> unit
 
 (** Execute the frame.  Raises {!Error} up front if any externally-bound
     buffer or any uninterpreted function referenced by the kernel is still

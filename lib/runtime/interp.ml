@@ -155,7 +155,9 @@ let rec eval env (e : Expr.t) : value =
       let i = to_int (eval env index) in
       if i < 0 || i >= Buffer.length b then
         err "load %s[%d] out of bounds (len %d)" (Var.mangled v) i (Buffer.length b)
-      else (match b with F a -> VFloat a.(i) | I a -> VInt a.(i))
+      else
+        let (F a) = b in
+        VFloat a.(i)
   | Ufun (name, [ a ]) -> (
       (* fast path: the 1-argument case (every prelude table and length
          function) evaluates without allocating an argument list *)
@@ -264,10 +266,9 @@ let rec exec env (s : Stmt.t) : unit =
       let i = to_int (eval env index) in
       if i < 0 || i >= Buffer.length b then
         err "store %s[%d] out of bounds (len %d)" (Var.mangled v) i (Buffer.length b)
-      else (
-        match b with
-        | F a -> a.(i) <- to_float (eval env value)
-        | I a -> a.(i) <- to_int (eval env value))
+      else
+        let (F a) = b in
+        a.(i) <- to_float (eval env value)
   | Reduce_store { buf = v; index; value; op } ->
       env.stores <- env.stores + 1;
       env.flops <- env.flops + 1;

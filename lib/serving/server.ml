@@ -419,7 +419,8 @@ let handle_once ?deadline_us ?lead (srv : t) (w : Workload.t) (lens : int array)
             (tn.Workload.space lens)
         in
         let d =
-          Autotune.Tuner.tune ~cfg ~device:Machine.Device.v100 ~key ~tables_sig
+          Autotune.Tuner.tune ~cfg ~device:Machine.Device.v100 ~key
+            ?tables_sig:(if srv.prelude_cache then Some tables_sig else None)
             ~hand:(Workload.tuner_job job) ~candidates ()
         in
         (* bake the winner into the job memo so the next request with

@@ -323,15 +323,6 @@ let test_unbound_variable_is_compile_error () =
   Alcotest.(check bool) "unbound var rejected at compile time" true
     (engine_error (fun () -> ignore (E.compile body)))
 
-let test_int_buffer_rejected () =
-  let i = Ir.Var.fresh "i" and dst = Ir.Var.fresh "dst" in
-  let body =
-    loop i 2 (Ir.Stmt.Store { buf = dst; index = Ir.Expr.var i; value = Ir.Expr.float 0.0 })
-  in
-  let fr = E.frame (E.compile body) in
-  Alcotest.(check bool) "int buffer rejected" true
-    (engine_error (fun () -> E.bind_buf fr dst (Runtime.Buffer.int_buf 2)))
-
 (* Interpreter parity on an error program: same schedule-shaped kernel,
    both paths must refuse (the engine up front, the interpreter lazily). *)
 let test_error_parity_with_interp () =
@@ -411,7 +402,6 @@ let () =
           Alcotest.test_case "ufun table index OOB" `Quick test_ufun_index_out_of_bounds;
           Alcotest.test_case "unbound variable at compile time" `Quick
             test_unbound_variable_is_compile_error;
-          Alcotest.test_case "int buffer rejected" `Quick test_int_buffer_rejected;
           Alcotest.test_case "error parity with interp" `Quick test_error_parity_with_interp;
         ] );
       ("memo", [ Alcotest.test_case "plan handles compile once" `Quick test_engine_handles ]);

@@ -485,7 +485,17 @@ let test_reference_leaves_caches_empty () =
   List.iter
     (fun (name, (st : Cora.Cache.stats)) ->
       if String.starts_with ~prefix:"job_build." name then empty name st.Cora.Cache.entries)
-    (Cora.Cache.registered_stats ())
+    (Cora.Cache.registered_stats ());
+  (* an autotuned bypass server prices its tune candidates without the
+     prelude cache too (its tuner decision is still memoised) *)
+  let tuned =
+    Serving.Server.create ~compile_cache:false ~prelude_cache:false
+      ~autotune:Autotune.Tuner.default_cfg ()
+  in
+  let fig1 = List.hd ws in
+  ignore
+    (Serving.Server.handle tuned fig1 (fig1.Serving.Workload.sample (Workloads.Rng.create 19)));
+  empty "prelude cache after an autotuned bypass" (Cora.Prelude_cache.size ())
 
 let test_reference_serves_once () =
   let w = List.hd (workloads ()) in

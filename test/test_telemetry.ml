@@ -357,6 +357,20 @@ let test_openmetrics_validator_rejects () =
      cora_h_sum 2\n\
      cora_h_count 3\n\
      # EOF\n";
+  bad "le bounds not increasing"
+    "# TYPE cora_h histogram\n\
+     cora_h_bucket{le=\"2\"} 1\n\
+     cora_h_bucket{le=\"1\"} 2\n\
+     cora_h_bucket{le=\"+Inf\"} 2\n\
+     cora_h_sum 2\n\
+     cora_h_count 2\n\
+     # EOF\n";
+  bad "histogram without _sum"
+    "# TYPE cora_h histogram\n\
+     cora_h_bucket{le=\"1\"} 2\n\
+     cora_h_bucket{le=\"+Inf\"} 2\n\
+     cora_h_count 2\n\
+     # EOF\n";
   (* two registry names that sanitize alike (a gauge [cache.plan_entries]
      next to [set_cache_gauges ~name:"plan"]'s [cache.plan.entries])
      render one family twice *)
